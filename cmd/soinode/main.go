@@ -76,7 +76,7 @@ func main() {
 	coded := flag.Int("coded", -1,
 		"erasure parity shares m for the coded exchange: survive ranks dying mid-transform at a wire cost of (R-1+m)/(R-1) (0 = detection only, -1 = plain exchange)")
 	asyncWindow := flag.String("async-window", "0",
-		"stream the all-to-all in chunks with this many in flight per link, overlapping wire time with convolution (0 = blocking exchange, 'auto' = the closed-loop controller picks and adapts the window between transforms); composes with -coded")
+		"stream the all-to-all in chunks with this many in flight per link, overlapping wire time with convolution (0 = one tile: convolve everything, then send; 'auto' = the closed-loop controller picks and adapts the window between transforms); composes with -coded")
 	transforms := flag.Int("transforms", 1,
 		"run this many back-to-back transforms on the same input (with -async-window=auto the controller re-tunes the window between them)")
 	faultPlan := flag.String("fault-plan", "",
@@ -424,7 +424,7 @@ func (e *UsageError) Error() string {
 
 // parseAsyncWindow resolves the -async-window flag: "auto" arms the
 // closed-loop controller, an integer in [0, size] fixes the window
-// (0 = blocking exchange). Anything else — a non-integer, a negative,
+// (0 = the one-tile schedule). Anything else — a non-integer, a negative,
 // or a window wider than the rank count (more in-flight chunks than
 // destinations could ever absorb) — is a *UsageError, never a silent
 // clamp.
@@ -439,7 +439,7 @@ func parseAsyncWindow(s string, size int) (window int, adaptive bool, err error)
 	}
 	if w < 0 {
 		return 0, false, &UsageError{Flag: "-async-window", Value: s,
-			Reason: "window must not be negative (0 selects the blocking exchange)"}
+			Reason: "window must not be negative (0 selects the one-tile schedule)"}
 	}
 	if w > size {
 		return 0, false, &UsageError{Flag: "-async-window", Value: s,

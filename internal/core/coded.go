@@ -1,15 +1,11 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"soifft/internal/erasure"
-	"soifft/internal/exch"
-	"soifft/internal/instrument"
 )
 
 // Coded-exchange tags live in a far negative band of their own, away
@@ -26,14 +22,12 @@ const (
 	tagCodedGather  = -1400 // degraded gather; dead rank d's block: tagCodedGather - 1 - d
 )
 
-// CodedComm is the transport surface the coded exchange needs: the
-// plain Comm collectives for the halo, plus per-peer checked send and
-// receive, where a dead peer is an error to route around rather than a
-// rank-fatal panic. Both *mpi.Comm and *mpinet.Proc satisfy it.
+// CodedComm is a Comm with the CheckedComm capability: per-peer checked
+// send and receive, where a dead peer is an error to route around rather
+// than a rank-fatal panic. Both *mpi.Comm and *mpinet.Proc satisfy it.
 type CodedComm interface {
 	Comm
-	SendChecked(to, tag int, data any) error
-	RecvCChecked(from, tag int) ([]complex128, error)
+	CheckedComm
 }
 
 // CodedExchangeFailpoint, when non-nil, is invoked on every rank between
@@ -46,7 +40,7 @@ var CodedExchangeFailpoint func(rank int) error
 // DegradedError reports a transform that COMPLETED with the correct,
 // bit-exact spectrum after reconstructing one or more dead ranks'
 // contributions from parity. It is informational: localOut is fully
-// valid when RunDistributedCoded returns it. It is deliberately not a
+// valid when RunDistributed returns it. It is deliberately not a
 // Fault — RecoverFault must never swallow it.
 type DegradedError struct {
 	// ReconstructedRanks lists the dead ranks whose codewords were
@@ -109,123 +103,16 @@ func ValidateCoded(r, m int) error {
 	return nil
 }
 
-// RunDistributedCoded is RunDistributed with an erasure-protected
-// exchange: each rank encodes its R outgoing chunks (its own included)
-// into m parity shares over GF(2^8) and fans data plus parity across its
-// peers, so the transform survives rank deaths mid-exchange.
-//
-// Outcomes:
-//   - no loss: identical to RunDistributed, bit for bit, at a wire cost
-//     of (R−1+m)/(R−1) times the plain exchange;
-//   - ranks die but every lost codeword retains ≥ R of its R+m shares
-//     (guaranteed for any single death with m ≥ 1 when the victim's
-//     sends flushed): every survivor finishes with the bit-exact
-//     spectrum and returns *DegradedError naming the reconstructed
-//     ranks; the coordinator additionally recomputes the dead ranks'
-//     output blocks (DegradedError.TakenOver, routed by GatherDegraded);
-//   - loss beyond the budget: every survivor returns a typed
-//     *UnrecoverableLossError naming the dead peers, within the
-//     transport's deadline bounds.
-//
-// The protocol detects deaths with a two-round view/agreement exchange
-// after the data fan-out; it therefore handles ranks that crash up to
-// that point. Deaths during the recovery itself surface as typed
-// transport errors (clean failure, never a wrong answer).
-//
-// Deprecated: call RunDistributed with WithCoding(m), which is this
-// path (and composes with WithAsyncWindow).
-func (pl *Plan) RunDistributedCoded(c CodedComm, m int, localOut, localIn []complex128) (DistributedTimes, error) {
-	return pl.RunDistributed(context.Background(), c, localOut, localIn, WithCoding(m))
-}
-
-// RunDistributedCodedContext is RunDistributedCoded with cancellation
-// checks at phase boundaries.
-//
-// Deprecated: call RunDistributed with WithCoding(m).
-func (pl *Plan) RunDistributedCodedContext(ctx context.Context, c CodedComm, m int, localOut, localIn []complex128) (DistributedTimes, error) {
-	return pl.RunDistributed(ctx, c, localOut, localIn, WithCoding(m))
-}
-
-// runCoded is the erasure-protected distributed transform behind
-// RunDistributed(..., WithCoding(m)): phases 1–2, the coded exchange
-// (blocking fan-out, or streamed tile fan-out when an async window is
-// configured and the transport supports it), detection/recovery, then
-// phase 4 with output takeover on the coordinator.
-func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut, localIn []complex128) (dt DistributedTimes, err error) {
-	defer RecoverFault(&err)
-	cc, ok := c.(CodedComm)
-	if !ok {
-		return dt, fmt.Errorf("core: WithCoding needs checked peer messaging, which %T lacks: %w", c, ErrPlanMismatch)
-	}
-	m := cfg.parity
-	if err := ValidateCoded(cc.Size(), m); err != nil {
-		return dt, err
-	}
-	rec := cfg.rec
-	e, err := pl.newDistExec(ctx, cfg, instrumentComm(c, rec), localOut, localIn)
-	if err != nil {
-		return dt, err
-	}
-
-	cx := &codedExchange{e: e, c: cc, m: m}
-	var deg *DegradedError
-	if _, streams := c.(StreamComm); streams && cfg.window > 0 {
-		deg, err = cx.runStreamed(ctx, localIn)
-		if err != nil {
-			return e.dt, err
-		}
-	} else {
-		cx.send, err = e.phase12(ctx, localIn)
-		if err != nil {
-			return e.dt, err
-		}
-		t0 := time.Now()
-		e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
-		deg, err = cx.run()
-		e.dt.Exchange = time.Since(t0)
-		e.tr.End(e.tid, e.rank, instrument.StageExchange.String())
-		if err != nil {
-			return e.dt, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return e.dt, err
-	}
-
-	t0 := time.Now()
-	e.tr.Begin(e.tid, e.rank, instrument.StageSegmentFFT.String())
-	e.phase4(cx.columnChunk, localOut)
-	if deg != nil && e.rank == deg.Coordinator {
-		// Take over the dead ranks' segment assembly: the pipeline is
-		// owner-agnostic, so feeding it dead rank d's column (pooled
-		// survivor chunks plus decoded chunks) yields d's exact block.
-		for _, d := range deg.ReconstructedRanks {
-			out := make([]complex128, e.nLocal)
-			e.phase4(func(src int) []complex128 { return cx.column(d, src) }, out)
-			deg.TakenOver[d] = out
-		}
-	}
-	e.dt.SegmentFT = time.Since(t0)
-	e.tr.End(e.tid, e.rank, instrument.StageSegmentFFT.String())
-
-	e.report()
-	if deg != nil {
-		if rec.On() {
-			rec.CountDegraded()
-		}
-		return e.dt, deg
-	}
-	return e.dt, nil
-}
-
-// codedExchange is the per-rank state of one erasure-protected exchange.
+// codedExchange is the per-rank state of the coding tail of one
+// exchange: the layer RunDistributed adds over the streamed executor
+// when WithCoding is set.
 type codedExchange struct {
 	e    *distExec
-	c    CodedComm
+	c    CodedComm // e.c, typed for the checked calls
 	m    int
 	send []complex128 // packed phase-2 buffer; dest t's chunk at [t·chunk, (t+1)·chunk)
 
-	recv     [][]complex128 // recv[src] = C_{src→rank}; nil until received/refilled
+	recv     [][]complex128 // recv[src] = C_{src→rank}; nil when lost, until refilled
 	parityIn map[int][]complex128
 	dead     []bool
 	masks    []uint64 // view round: masks[x] bit j ⇔ rank x received C_{j→x}
@@ -238,9 +125,16 @@ type codedExchange struct {
 	parityBytes, recoveryBytes int64
 }
 
-// columnChunk returns source src's contribution to this rank's own
-// output column (after any refill, every source is present).
-func (cx *codedExchange) columnChunk(src int) []complex128 { return cx.recv[src] }
+// newCodedExchange prepares the coding tail; it exists before the
+// produce loop so a failed send can already mark its peer dead.
+func newCodedExchange(e *distExec, m int) *codedExchange {
+	return &codedExchange{
+		e: e, c: e.c.(CodedComm), m: m,
+		parityIn: make(map[int][]complex128),
+		dead:     make([]bool, e.r),
+		masks:    make([]uint64, e.r),
+	}
+}
 
 // column returns source src's contribution to dead rank d's output
 // column (coordinator only, after recovery).
@@ -252,17 +146,6 @@ func (cx *codedExchange) column(d, src int) []complex128 {
 }
 
 func (cx *codedExchange) markDead(rank int) { cx.dead[rank] = true }
-
-// setup initializes the per-rank exchange state shared by the blocking
-// and streamed fan-outs (cx.send must already be packed or, for the
-// streamed path, be the persistent buffer the producer packs).
-func (cx *codedExchange) setup() {
-	r := cx.e.r
-	cx.recv = make([][]complex128, r)
-	cx.parityIn = make(map[int][]complex128)
-	cx.dead = make([]bool, r)
-	cx.masks = make([]uint64, r)
-}
 
 // encodeParity encodes this rank's codeword: the R outgoing chunks — the
 // unsent self-chunk included, so the exchange's redundancy also covers
@@ -296,10 +179,10 @@ func (cx *codedExchange) encodeParity() (*erasure.Code, [][]complex128, error) {
 	return code, parityOut, nil
 }
 
-// sendParity ships parity share i to rank+1+i (the blocking and streamed
-// fan-outs share it; on the streamed path the per-link FIFO places these
-// frames after every data tile, so receivers drain the stream first).
-func (cx *codedExchange) sendParity(parityOut [][]complex128, rec *instrument.Recorder) {
+// sendParity ships parity share i to rank+1+i; the per-link FIFO places
+// these frames after every data tile, so receivers drain the stream
+// first.
+func (cx *codedExchange) sendParity(parityOut [][]complex128) {
 	e, c := cx.e, cx.c
 	for i := 0; i < cx.m; i++ {
 		s := (e.rank + 1 + i) % e.r
@@ -309,40 +192,26 @@ func (cx *codedExchange) sendParity(parityOut [][]complex128, rec *instrument.Re
 		}
 		cx.parityBytes += int64(e.chunk) * 16
 	}
-	rec.CountParityBytes(cx.parityBytes)
+	e.cnt.CountParityBytes(cx.parityBytes)
 }
 
-// run executes the blocking coded exchange: encode, fan out, detect, and
-// (when needed and possible) recover. On success every survivor's own
-// column is complete; a non-nil *DegradedError reports reconstructions.
-func (cx *codedExchange) run() (*DegradedError, error) {
+// run is the coding tail, entered once the produce loop has fanned
+// every data tile out: encode this rank's codeword over the packed send
+// buffer and ship the parity (per-link FIFO places it behind the last
+// data tile), pass the failpoint, wait for the stream to drain, receive
+// the parity addressed to this rank, then detect and — when needed and
+// possible — recover. On success every survivor's own column is
+// complete; a non-nil *DegradedError reports reconstructions.
+func (cx *codedExchange) run(send []complex128, in *inbox) (*DegradedError, error) {
 	e, c, m := cx.e, cx.c, cx.m
 	r, rank, chunk := e.r, e.rank, e.chunk
-	rec := e.rec
-	if !rec.On() { // match the uncoded path: count only when observing
-		rec = nil
-	}
-	cx.setup()
-	cx.recv[rank] = cx.send[rank*chunk : (rank+1)*chunk]
+	cx.send, cx.recv = send, in.recv
 
 	code, parityOut, err := cx.encodeParity()
 	if err != nil {
 		return nil, err
 	}
-
-	// Fan out: data chunk to every peer, parity share i to rank+1+i. A
-	// send failure means the peer is already dead; note it and move on.
-	if rank == 0 {
-		rec.CountAlltoallOp()
-	}
-	rec.CountAlltoallBytes(int64(r-1) * int64(chunk) * 16)
-	for off := 1; off < r; off++ {
-		s := (rank + off) % r
-		if err := c.SendChecked(s, tagCodedData, cx.send[s*chunk:(s+1)*chunk]); err != nil {
-			cx.markDead(s)
-		}
-	}
-	cx.sendParity(parityOut, rec)
+	cx.sendParity(parityOut)
 
 	if fp := CodedExchangeFailpoint; fp != nil {
 		if err := fp(rank); err != nil {
@@ -350,26 +219,29 @@ func (cx *codedExchange) run() (*DegradedError, error) {
 		}
 	}
 
-	// Receive data (and the parity share each source addressed to us, if
-	// any). Frame order per link is fixed — data, then parity — matching
-	// the fan-out. Receives are attempted even from peers already marked
-	// dead (e.g. because our send to them failed): a gracefully dying
-	// peer flushes its frames before the FIN and the transport keeps a
-	// dead link's queued frames readable, so the victim's contribution
-	// usually survives it; a dead link with nothing queued fails
-	// immediately, without a deadline wait.
+	// Drain fully before any parity receive: the stream's per-source
+	// receivers pop tile frames from the same per-link mailboxes the
+	// checked receives use, so the parity frames are safe to receive only
+	// once every receiver has delivered its last event.
+	if err := in.wait(); err != nil {
+		return nil, &UnrecoverableLossError{Parity: m, Cause: err}
+	}
+
+	// A source whose stream ended early lost tiles: dead (its receiver may
+	// have left tile frames queued, so its parity is unreachable — skip
+	// it). Receives are attempted even from peers already marked dead
+	// (e.g. because our send to them failed): a gracefully dying peer
+	// flushes its frames before the FIN and the transport keeps a dead
+	// link's queued frames readable, so the victim's contribution usually
+	// survives it; a dead link with nothing queued fails immediately,
+	// without a deadline wait.
 	for off := 1; off < r; off++ {
 		src := (rank + off) % r
-		data, err := c.RecvCChecked(src, tagCodedData)
-		if err != nil {
+		if in.lost[src] {
+			cx.recv[src] = nil
 			cx.markDead(src)
 			continue
 		}
-		if len(data) != chunk {
-			return nil, &UnrecoverableLossError{Parity: m,
-				Cause: fmt.Errorf("malformed coded chunk from rank %d: %d elements, want %d", src, len(data), chunk)}
-		}
-		cx.recv[src] = data
 		if i := (rank - src - 1 + 2*r) % r; i < m {
 			pdata, err := c.RecvCChecked(src, tagCodedParity-i)
 			if err != nil {
@@ -384,13 +256,12 @@ func (cx *codedExchange) run() (*DegradedError, error) {
 		}
 	}
 
-	return cx.detect(code, rec)
+	return cx.detect(code)
 }
 
 // detect runs the view and agreement rounds over the received state and,
-// when losses are within budget, the recovery — the shared tail of the
-// blocking and streamed fan-outs.
-func (cx *codedExchange) detect(code *erasure.Code, rec *instrument.Recorder) (*DegradedError, error) {
+// when losses are within budget, the recovery.
+func (cx *codedExchange) detect(code *erasure.Code) (*DegradedError, error) {
 	e, m := cx.e, cx.m
 	r, rank := e.r, e.rank
 
@@ -435,7 +306,7 @@ func (cx *codedExchange) detect(code *erasure.Code, rec *instrument.Recorder) (*
 		}
 	}
 	if len(deadList) > 0 { // mask rounds count as recovery traffic only on failure
-		rec.CountRecoveryBytes(cx.recoveryBytes)
+		e.cnt.CountRecoveryBytes(cx.recoveryBytes)
 	}
 	if deadMask&(1<<uint(rank)) != 0 {
 		return nil, &UnrecoverableLossError{DeadRanks: deadList, Parity: m,
@@ -467,157 +338,6 @@ func (cx *codedExchange) detect(code *erasure.Code, rec *instrument.Recorder) (*
 		return nil, err
 	}
 	return deg, nil
-}
-
-// runStreamed executes the coded exchange over the streamed tile
-// fan-out: data tiles travel through the windowed chunk stream
-// (overlapped with convolution exactly as in the uncoded streamed path),
-// parity is encoded over the completed packed buffer after the produce
-// loop and ships on the usual parity tags — per-link FIFO places those
-// frames after every data tile, so a receiver drains the stream fully
-// and then finds the parity heading its mailboxes, the same per-link
-// order as the blocking fan-out. Detection and recovery are the shared
-// tail, so outcomes (clean, degraded bit-exact, typed loss) are
-// identical to the blocking coded exchange.
-func (cx *codedExchange) runStreamed(ctx context.Context, localIn []complex128) (deg *DegradedError, err error) {
-	e, c, m := cx.e, cx.c, cx.m
-	r, rank, chunk := e.r, e.rank, e.chunk
-	rec := e.rec
-	if !rec.On() {
-		rec = nil
-	}
-	cx.setup()
-
-	bounds := e.tileBounds()
-	sizes := make([]int, len(bounds)-1)
-	for k := range sizes {
-		sizes[k] = (bounds[k+1] - bounds[k]) * e.spr
-	}
-	st := e.c.(StreamComm).StartAlltoallv(exch.Options{Sizes: sizes, Window: e.window})
-	defer st.Close()
-	streamStart := time.Now()
-
-	// Remote sources scatter into pre-allocated chunk buffers (tile k at
-	// [bounds[k]·spr, bounds[k+1]·spr)); the self-chunk aliases the packed
-	// send buffer once the producer finishes.
-	for src := 0; src < r; src++ {
-		if src != rank {
-			cx.recv[src] = make([]complex128, chunk)
-		}
-	}
-	got := make([]int, r)
-	consDone := make(chan error, 1)
-	go func() { consDone <- cx.drainStream(st, bounds, got) }()
-
-	send, sendWait, perr := e.produceStream(ctx, st, bounds, localIn, func(dst int, err error) error {
-		cx.markDead(dst) // route around the dead peer; detection settles it
-		return nil
-	})
-	cx.send = send
-	tExch := time.Now()
-	e.tr.Begin(e.tid, rank, instrument.StageExchange.String())
-	defer func() {
-		e.dt.Exchange = sendWait + time.Since(tExch)
-		e.tr.End(e.tid, rank, instrument.StageExchange.String())
-		hidden := time.Since(streamStart) - e.dt.Exchange
-		if hidden < 0 {
-			hidden = 0
-		}
-		if e.timed && hidden > 0 {
-			e.rec.AddHiddenExchange(hidden)
-		}
-		// Degraded-but-complete runs still carry a valid overlap
-		// measurement; only typed failures skip the controller.
-		if err == nil && e.adaptive {
-			e.observeAdaptive(hidden, sendWait)
-		}
-	}()
-	if perr != nil {
-		return nil, perr // context cancellation or a halo send failure
-	}
-	cx.recv[rank] = send[rank*chunk : (rank+1)*chunk]
-
-	code, parityOut, err := cx.encodeParity()
-	if err != nil {
-		return nil, err
-	}
-	cx.sendParity(parityOut, rec)
-
-	if fp := CodedExchangeFailpoint; fp != nil {
-		if err := fp(rank); err != nil {
-			return nil, err
-		}
-	}
-
-	// Drain fully before any parity receive: the stream's per-source
-	// receiver goroutines pop tile frames from the same per-link mailboxes
-	// the checked receives use, so the parity frames are safe to receive
-	// only once every receiver has delivered its last event.
-	if err := <-consDone; err != nil {
-		return nil, err
-	}
-
-	// A source whose stream ended early lost tiles: dead (its receiver may
-	// have left tile frames queued, so its parity is unreachable — skip
-	// it). Completed sources behave exactly as in the blocking receive
-	// loop, a gracefully dying peer's flushed tiles and parity included.
-	for off := 1; off < r; off++ {
-		src := (rank + off) % r
-		if got[src] < len(sizes) {
-			cx.recv[src] = nil
-			cx.markDead(src)
-			continue
-		}
-		if i := (rank - src - 1 + 2*r) % r; i < m {
-			pdata, err := c.RecvCChecked(src, tagCodedParity-i)
-			if err != nil {
-				cx.markDead(src)
-				continue
-			}
-			if len(pdata) != chunk {
-				return nil, &UnrecoverableLossError{Parity: m,
-					Cause: fmt.Errorf("malformed parity share from rank %d: %d elements, want %d", src, len(pdata), chunk)}
-			}
-			cx.parityIn[src] = pdata
-		}
-	}
-
-	return cx.detect(code, rec)
-}
-
-// drainStream scatters arriving data tiles into the per-source receive
-// buffers while later tiles are still on the wire. Per-source stream
-// failures are not fatal here — the caller infers them from the tile
-// counts after the drain (and the view round settles the dead set); only
-// a malformed frame aborts.
-func (cx *codedExchange) drainStream(st exch.Stream, bounds []int, got []int) error {
-	e := cx.e
-	var firstErr error
-	for {
-		ch, ok := st.Next()
-		if !ok {
-			return firstErr
-		}
-		if ch.Err != nil {
-			continue
-		}
-		lo, hi := bounds[ch.Index], bounds[ch.Index+1]
-		if len(ch.Data) != (hi-lo)*e.spr {
-			if firstErr == nil {
-				firstErr = &UnrecoverableLossError{Parity: cx.m,
-					Cause: fmt.Errorf("malformed coded stream chunk %d from rank %d: %d elements, want %d",
-						ch.Index, ch.Src, len(ch.Data), (hi-lo)*e.spr)}
-			}
-			continue
-		}
-		if ch.Src == e.rank {
-			got[e.rank]++
-			continue // the self-chunk aliases the packed send buffer
-		}
-		e.tr.ChunkInstant(e.tid, e.rank, "exchange_chunk_recv", ch.Index)
-		copy(cx.recv[ch.Src][lo*e.spr:hi*e.spr], ch.Data)
-		got[ch.Src]++
-	}
 }
 
 // exchangeMasks runs one all-pairs round of single-value control frames,
@@ -658,10 +378,6 @@ func (cx *codedExchange) exchangeMasks(tag int, mine uint64, out []uint64) {
 func (cx *codedExchange) recover(code *erasure.Code, deadList []int) (*DegradedError, error) {
 	e, c, m := cx.e, cx.c, cx.m
 	r, rank, chunk := e.r, e.rank, e.chunk
-	rec := e.rec
-	if !rec.On() {
-		rec = nil
-	}
 
 	coord := -1
 	for j := 0; j < r; j++ {
@@ -672,7 +388,7 @@ func (cx *codedExchange) recover(code *erasure.Code, deadList []int) (*DegradedE
 	}
 	cx.decoded = make(map[int][][]complex128)
 	cx.columns = make(map[int][][]complex128)
-	base := cx.recoveryBytes // mask-round bytes, already booked by run()
+	base := cx.recoveryBytes // mask-round bytes, already booked by detect
 
 	var decodeErr error
 	for _, d := range deadList {
@@ -689,7 +405,7 @@ func (cx *codedExchange) recover(code *erasure.Code, deadList []int) (*DegradedE
 			decodeErr = err
 			continue
 		}
-		rec.CountReconstruction()
+		e.cnt.CountReconstruction()
 	}
 	// Outcome round: the coordinator tells every survivor whether the
 	// decodes succeeded, so an infeasible recovery fails typed on every
@@ -754,7 +470,7 @@ func (cx *codedExchange) recover(code *erasure.Code, deadList []int) (*DegradedE
 			cx.recv[d] = data
 		}
 	}
-	rec.CountRecoveryBytes(cx.recoveryBytes - base)
+	e.cnt.CountRecoveryBytes(cx.recoveryBytes - base)
 	if lateErr != nil { // a survivor died mid-recovery; its column is gone
 		return nil, lateErr
 	}

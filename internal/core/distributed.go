@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"soifft/internal/exch"
 	"soifft/internal/instrument"
 	"soifft/internal/telemetry"
 	"soifft/internal/trace"
@@ -17,10 +16,14 @@ const (
 	tagHalo = 100
 )
 
-// Comm is the communication surface the distributed driver needs. It is
+// Comm is the communication surface of the distributed code. It is
 // satisfied by *mpi.Comm (the in-process runtime) and by *mpinet.Proc
 // (the TCP transport), so the same SOI code runs over goroutines or over
-// real sockets.
+// real sockets. RunDistributed additionally requires the CheckedComm and
+// StreamComm capabilities and moves its exchange through the latter;
+// RunDistributedSegment uses the plain point-to-point calls and Gather.
+// The blocking collectives stay part of the surface for callers that
+// drive or wrap a transport directly (perfbench's timing wrapper).
 type Comm interface {
 	Rank() int
 	Size() int
@@ -104,23 +107,12 @@ func (pl *Plan) ValidateDistributed(r int) error {
 	return nil
 }
 
-// countingComm wraps a Comm once — whatever its optional capabilities —
-// and mirrors its traffic into a Recorder: point-to-point payload bytes
-// at the sender, all-to-all volume as this rank's inter-rank
-// contribution (self-copies excluded, matching what a fabric would
-// carry — summed over per-rank recorders, or accumulated in one shared
-// recorder, the total is 16·(1+β)·N·(R−1)/R bytes per SOI transform,
-// identical for the blocking, pairwise, and streamed exchanges). The
-// collective op itself is counted once per world, on rank 0, mirroring
-// the mpi.World statistics convention.
-//
-// The optional capabilities forward by asserting the inner Comm, so the
-// wrapper exposes the full unified surface; callers must discover a
-// capability on the unwrapped Comm before using it through the wrapper.
-// Checked point-to-point traffic is deliberately NOT counted here: the
-// only checked caller is the coded exchange, which classifies its own
-// protocol traffic (parity vs recovery bytes) more precisely than a
-// generic wrapper could.
+// countingComm mirrors the point-to-point traffic of
+// RunDistributedSegment into a Recorder: payload bytes at the sender.
+// RunDistributed does not use it; its executor books its own traffic
+// where it sends — halo chunks as messages, exchange chunks against the
+// all-to-all budget, the coding tail's frames as parity and recovery
+// bytes.
 type countingComm struct {
 	Comm
 	rec *instrument.Recorder
@@ -140,67 +132,11 @@ func (cc *countingComm) Send(to, tag int, data any) {
 	cc.Comm.Send(to, tag, data)
 }
 
-func (cc *countingComm) Alltoall(send []complex128, chunk int) []complex128 {
-	if cc.Comm.Rank() == 0 {
-		cc.rec.CountAlltoallOp()
-	}
-	cc.rec.CountAlltoallBytes(int64(cc.Comm.Size()-1) * int64(chunk) * 16)
-	return cc.Comm.Alltoall(send, chunk)
-}
-
-func (cc *countingComm) PairwiseAlltoallv(send []complex128, sendCounts, recvCounts []int) []complex128 {
-	if cc.Comm.Rank() == 0 {
-		cc.rec.CountAlltoallOp()
-	}
-	var n int64
-	for t, cnt := range sendCounts {
-		if t != cc.Comm.Rank() {
-			n += int64(cnt)
-		}
-	}
-	cc.rec.CountAlltoallBytes(n * 16)
-	return cc.Comm.PairwiseAlltoallv(send, sendCounts, recvCounts)
-}
-
 func (cc *countingComm) Gather(root int, chunk []complex128) []complex128 {
 	if cc.Comm.Rank() != root {
 		cc.rec.CountMessage(int64(len(chunk)) * 16)
 	}
 	return cc.Comm.Gather(root, chunk)
-}
-
-func (cc *countingComm) SendChecked(to, tag int, data any) error {
-	return cc.Comm.(CheckedComm).SendChecked(to, tag, data)
-}
-
-func (cc *countingComm) RecvCChecked(from, tag int) ([]complex128, error) {
-	return cc.Comm.(CheckedComm).RecvCChecked(from, tag)
-}
-
-// StartAlltoallv forwards the streaming capability and counts the
-// chunked frames against the same analytic budget as the blocking
-// exchange: the op once on rank 0, and every non-self chunk's payload at
-// the sender. Summed over a stream, the chunks partition exactly the
-// blocking exchange's (R−1)·chunk elements, so the live 3/(1+β) ratio
-// check holds unchanged regardless of window size.
-func (cc *countingComm) StartAlltoallv(o exch.Options) exch.Stream {
-	if cc.Comm.Rank() == 0 {
-		cc.rec.CountAlltoallOp()
-	}
-	return &countedStream{Stream: cc.Comm.(StreamComm).StartAlltoallv(o), cc: cc}
-}
-
-type countedStream struct {
-	exch.Stream
-	cc *countingComm
-}
-
-func (s *countedStream) Send(dst, idx int, data []complex128) error {
-	if dst != s.cc.Comm.Rank() {
-		s.cc.rec.CountAlltoallBytes(int64(len(data)) * 16)
-		s.cc.rec.CountStreamChunk()
-	}
-	return s.Stream.Send(dst, idx, data)
 }
 
 // payloadBytes sizes the wire payload of a Send argument.
@@ -224,126 +160,111 @@ func payloadBytes(data any) int64 {
 // (1+β)·N/R points — versus three all-to-alls of N/R points for the
 // standard algorithms in internal/baseline.
 //
-// Options select the exchange machinery without changing the spectrum
-// (all variants are bit-identical on a clean run):
-//   - WithAsyncWindow(w) streams the all-to-all in chunks, w in flight
-//     per link, overlapped with convolution — wire time hides behind
-//     compute, and the Exchange stage time reports only the un-hidden
-//     remainder;
+// Every run moves its data through one driver: the streamed executor
+// (stream.go). The producer convolves the local blocks tile by tile and
+// fans each finished tile out through the transport's chunk stream
+// while a consumer collects arriving chunks; the halo streams the same
+// way. The Comm must therefore have both the CheckedComm and the
+// StreamComm capability (both transports do); a Comm lacking either
+// fails with an ErrPlanMismatch error naming it.
+//
+// Options select the schedule without changing the spectrum (every
+// variant is bit-identical on a clean run):
+//   - no window (the default) runs the one-tile schedule: convolve every
+//     block, then send — the classic blocking exchange;
+//   - WithAsyncWindow(w) splits the blocks into several tiles with w
+//     chunks in flight per link, so wire time hides behind convolution
+//     and the Exchange stage time reports only the un-hidden remainder;
 //   - WithAdaptiveWindow() has the plan's closed-loop controller pick w
 //     per rank: the model prior first, then adapted between transforms
 //     from the measured overlap and credit-stall;
-//   - WithCoding(m) erasure-protects the exchange so the transform
-//     survives up to m rank deaths (requires the CheckedComm
-//     capability); coding composes with WithAsyncWindow and
-//     WithAdaptiveWindow;
+//   - WithCoding(m) adds the erasure-coding tail to the exchange so the
+//     transform survives up to m rank deaths; it composes with every
+//     schedule above;
 //   - WithRecorder(rec) observes the run with a specific recorder.
 //
-// On a streamed run over a Comm with checked messaging, the halo
-// prefix exchange streams in chunks too (the exch.HaloSizes schedule),
-// so both communication phases hide behind compute.
+// An uncoded run fails fast: the first send error, or the first
+// per-source stream failure, is returned. A coded run routes around a
+// dead peer and settles the outcome in its detection rounds.
 //
 // A cancelled context stops this rank before its next local phase; it
 // does not interrupt a collective already in flight (the transport's
 // I/O deadline bounds those), and ranks that stop early leave peers to
 // fail with their own deadline faults.
-func (pl *Plan) RunDistributed(ctx context.Context, c Comm, localOut, localIn []complex128, opts ...DistOption) (DistributedTimes, error) {
+func (pl *Plan) RunDistributed(ctx context.Context, c Comm, localOut, localIn []complex128, opts ...DistOption) (dt DistributedTimes, err error) {
+	defer RecoverFault(&err)
 	cfg := pl.resolveDistOptions(opts)
-	// Capabilities are discovered on the unwrapped Comm (the counting
-	// wrapper forwards them blindly).
-	if _, ok := c.(CheckedComm); ok {
-		cfg.haloChecked = true
+	if _, ok := c.(CheckedComm); !ok {
+		return dt, fmt.Errorf("core: RunDistributed needs the CheckedComm capability, which %T lacks: %w", c, ErrPlanMismatch)
 	}
-	if cfg.adaptive && cfg.window == 0 {
-		if _, ok := c.(StreamComm); ok {
-			cfg.window = pl.adaptiveWindow(c.Rank(), c.Size()).Window
-		}
+	if _, ok := c.(StreamComm); !ok {
+		return dt, fmt.Errorf("core: RunDistributed needs the StreamComm capability, which %T lacks: %w", c, ErrPlanMismatch)
 	}
 	if cfg.coded {
-		return pl.runCoded(ctx, c, cfg, localOut, localIn)
+		if err := ValidateCoded(c.Size(), cfg.parity); err != nil {
+			return dt, err
+		}
 	}
-	return pl.runFlat(ctx, c, cfg, localOut, localIn)
-}
-
-// RunDistributedContext is the pre-option spelling of RunDistributed.
-//
-// Deprecated: call RunDistributed, which now takes the context and
-// options directly.
-func (pl *Plan) RunDistributedContext(ctx context.Context, c Comm, localOut, localIn []complex128) (DistributedTimes, error) {
-	return pl.RunDistributed(ctx, c, localOut, localIn)
-}
-
-// runFlat is the uncoded distributed transform: phases 1–2, the single
-// all-to-all (blocking, or streamed when an async window is configured
-// and the transport supports it), then phase 4.
-func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, localIn []complex128) (dt DistributedTimes, err error) {
-	defer RecoverFault(&err)
-	e, err := pl.newDistExec(ctx, cfg, instrumentComm(c, cfg.rec), localOut, localIn)
+	if cfg.adaptive && cfg.window == 0 {
+		cfg.window = pl.adaptiveWindow(c.Rank(), c.Size()).Window
+	}
+	e, err := pl.newDistExec(ctx, cfg, c, localOut, localIn)
 	if err != nil {
 		return dt, err
 	}
-	if _, ok := c.(StreamComm); ok && cfg.window > 0 {
-		err = e.runStreamed(ctx, localOut, localIn)
-		if err == nil {
-			e.report()
-		}
-		return e.dt, err
+	var cx *codedExchange
+	if cfg.coded {
+		cx = newCodedExchange(e, cfg.parity)
 	}
-	send, err := e.phase12(ctx, localIn)
+	recv, deg, err := e.exchange(ctx, localIn, cx)
 	if err != nil {
 		return e.dt, err
 	}
-
-	// Phase 3: the single all-to-all (stride-P permutation P_perm^{P,N'}).
-	t0 := time.Now()
-	e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
-	var recv []complex128
-	if pl.prm.Exchange == ExchangePairwise {
-		counts := make([]int, e.r)
-		for i := range counts {
-			counts[i] = e.chunk
-		}
-		recv = e.c.PairwiseAlltoallv(send, counts, counts)
-	} else {
-		recv = e.c.Alltoall(send, e.chunk)
-	}
-	e.dt.Exchange = time.Since(t0)
-	e.tr.End(e.tid, e.rank, instrument.StageExchange.String())
 	if err := ctx.Err(); err != nil {
 		return e.dt, err
 	}
 
 	// Phase 4: assemble each owned segment's oversampled sequence, run
 	// F_M', project and demodulate.
-	t0 = time.Now()
+	t0 := time.Now()
 	e.tr.Begin(e.tid, e.rank, instrument.StageSegmentFFT.String())
-	e.phase4(func(src int) []complex128 {
-		return recv[src*e.chunk : (src+1)*e.chunk]
-	}, localOut)
+	e.phase4(func(src int) []complex128 { return recv[src] }, localOut)
+	if deg != nil && e.rank == deg.Coordinator {
+		// Take over the dead ranks' segment assembly: the pipeline is
+		// owner-agnostic, so feeding it dead rank d's column (pooled
+		// survivor chunks plus decoded chunks) yields d's exact block.
+		for _, d := range deg.ReconstructedRanks {
+			out := make([]complex128, e.nLocal)
+			e.phase4(func(src int) []complex128 { return cx.column(d, src) }, out)
+			deg.TakenOver[d] = out
+		}
+	}
 	e.dt.SegmentFT = time.Since(t0)
 	e.tr.End(e.tid, e.rank, instrument.StageSegmentFFT.String())
 
 	e.report()
+	if deg != nil {
+		e.cnt.CountDegraded()
+		return e.dt, deg
+	}
 	return e.dt, nil
 }
 
 // distExec is the per-rank execution state one distributed transform
-// shares between its phases; the plain and coded drivers both build one
-// and differ only in how chunks cross the wire between phase12 and
-// phase4.
+// shares between its phases.
 type distExec struct {
 	pl                *Plan
-	c                 Comm                 // collective/halo surface (instrument-wrapped when observing)
+	c                 Comm                 // the transport, with the CheckedComm and StreamComm capabilities
 	rec               *instrument.Recorder // this run's recorder (plan's unless WithRecorder overrode it)
+	cnt               *instrument.Recorder // rec while it observes, else nil: the sink for traffic counts
 	rank, r           int
 	workers           int
 	nLocal            int
 	bpr               int  // convolution blocks per rank
 	spr               int  // segments per rank
 	chunk             int  // elements per destination in the exchange (bpr·spr)
-	window            int  // streamed-exchange in-flight window (0 = blocking)
+	window            int  // streamed-exchange in-flight window (0 = one-tile schedule)
 	adaptive          bool // window chosen by the plan's controller; observe after the run
-	haloChecked       bool // stream the halo through checked chunked sends
 	tr                *trace.Tracer
 	tid               trace.ID
 	tele              *telemetry.Plane
@@ -375,111 +296,16 @@ func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localO
 	e := &distExec{
 		pl: pl, c: c, rec: cfg.rec, rank: c.Rank(), r: r, workers: workers, nLocal: nLocal,
 		bpr: pl.mp / r, spr: p.P / r, chunk: (pl.mp / r) * (p.P / r),
-		window:      cfg.window,
-		adaptive:    cfg.adaptive && cfg.window > 0,
-		haloChecked: cfg.haloChecked,
-		tele:        cfg.tele,
-		timed:       cfg.rec.Timing(),
+		window:   cfg.window,
+		adaptive: cfg.adaptive,
+		tele:     cfg.tele,
+		timed:    cfg.rec.Timing(),
+	}
+	if cfg.rec.On() {
+		e.cnt = cfg.rec
 	}
 	e.tr, e.tid = pl.tracerFor(ctx)
 	return e, nil
-}
-
-// phase12 runs the halo exchange and the convolution/block-FFT phase and
-// returns the packed exchange buffer: destination t's chunk occupies
-// [t·chunk, (t+1)·chunk).
-func (e *distExec) phase12(ctx context.Context, localIn []complex128) ([]complex128, error) {
-	pl, p, rank, r := e.pl, e.pl.prm, e.rank, e.r
-
-	// Phase 1: halo exchange, overlapped with interior convolution. The
-	// convolution of the last local rows reads up to (B−1)·P elements
-	// past the owned block, so rank p posts its own prefix to the
-	// preceding rank(s) immediately (sends are asynchronous), convolves
-	// every row whose taps stay inside the owned block, and only then
-	// waits for the neighbour prefix(es) to finish the boundary rows. In
-	// production shapes the halo is a single short neighbour message
-	// (paper: "typically less than 0.01% of M"); tiny test shapes may
-	// span several neighbours.
-	halo := pl.HaloLen()
-	t0 := time.Now()
-	e.tr.Begin(e.tid, rank, instrument.StageHalo.String())
-	ext := make([]complex128, e.nLocal+halo)
-	copy(ext, localIn)
-	depth := 0 // neighbour distance the halo spans
-	if r > 1 {
-		for d := 1; (d-1)*e.nLocal < halo; d++ {
-			need := halo - (d-1)*e.nLocal
-			if need > e.nLocal {
-				need = e.nLocal
-			}
-			e.c.Send((rank-d+r*d)%r, tagHalo+d, localIn[:need])
-			depth = d
-		}
-	}
-	e.dt.Halo = time.Since(t0)
-	e.tr.End(e.tid, rank, instrument.StageHalo.String())
-
-	// Phase 2: convolution rows and their P-point FFTs. Interior rows
-	// (taps within the owned block) run while the halo is in flight.
-	t0 = time.Now()
-	e.tr.Begin(e.tid, rank, instrument.StageConvolve.String())
-	jLo := rank * e.bpr
-	jMid := jLo
-	for jMid < jLo+e.bpr && pl.rowEndCol(jMid) <= (rank+1)*e.nLocal {
-		jMid++
-	}
-	v := make([]complex128, e.bpr*p.P)
-	conv := make([]complex128, e.bpr*p.P)
-	parfor(e.workers, jMid-jLo, func(lo, hi int) {
-		w0 := time.Now()
-		pl.ConvolveRange(conv[lo*p.P:hi*p.P], ext, jLo+lo, jLo+hi, rank*e.nLocal)
-		if e.timed {
-			e.convBusy.Add(int64(time.Since(w0)))
-		}
-	})
-	e.dt.Convolve = time.Since(t0)
-
-	t0 = time.Now()
-	e.tr.Begin(e.tid, rank, instrument.StageHalo.String())
-	if r == 1 {
-		copy(ext[e.nLocal:], localIn[:halo])
-	} else {
-		for d := 1; d <= depth; d++ {
-			data := e.c.RecvC((rank+d)%r, tagHalo+d)
-			copy(ext[e.nLocal+(d-1)*e.nLocal:], data)
-		}
-	}
-	e.dt.Halo += time.Since(t0)
-	e.tr.End(e.tid, rank, instrument.StageHalo.String())
-
-	t0 = time.Now()
-	pl.ConvolveRange(conv[(jMid-jLo)*p.P:], ext, jMid, jLo+e.bpr, rank*e.nLocal)
-	if e.timed {
-		e.convBusy.Add(int64(time.Since(t0)))
-	}
-	parfor(e.workers, e.bpr, func(lo, hi int) {
-		w0 := time.Now()
-		pl.BlockFFTBatch(v[lo*p.P:hi*p.P], conv[lo*p.P:hi*p.P], hi-lo)
-		if e.timed {
-			e.convBusy.Add(int64(time.Since(w0)))
-		}
-	})
-
-	// Pack for the exchange: destination t gets lanes [t·spr, (t+1)·spr)
-	// of every local block (the node-local permutation of paper Fig 3).
-	send := make([]complex128, e.bpr*p.P)
-	for t := 0; t < r; t++ {
-		base := t * e.chunk
-		for j := 0; j < e.bpr; j++ {
-			copy(send[base+j*e.spr:base+(j+1)*e.spr], v[j*p.P+t*e.spr:j*p.P+(t+1)*e.spr])
-		}
-	}
-	e.dt.Convolve += time.Since(t0)
-	e.tr.End(e.tid, rank, instrument.StageConvolve.String())
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return send, nil
 }
 
 // phase4 assembles, segment-FFTs and demodulates one rank's worth of
@@ -487,8 +313,8 @@ func (e *distExec) phase12(ctx context.Context, localIn []complex128) ([]complex
 // the bpr·spr chunk that source rank src addressed to the output owner;
 // the segment pipeline itself is owner-agnostic (the global segment
 // identity is baked into the chunk data by the phase-2 modulation), so
-// the coded driver reuses it verbatim to take over a dead rank's output
-// with bit-identical results.
+// the coding tail's takeover reuses it verbatim to rebuild a dead rank's
+// output with bit-identical results.
 func (e *distExec) phase4(chunkOf func(src int) []complex128, out []complex128) {
 	pl := e.pl
 	parfor(e.workers, e.spr, func(sLo, sHi int) {

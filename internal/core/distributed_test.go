@@ -197,26 +197,6 @@ func TestDistributedTimesAccounting(t *testing.T) {
 	}
 }
 
-func TestPairwiseExchangeEquivalent(t *testing.T) {
-	// The pairwise send-receive schedule must produce bit-identical
-	// results and the same single-all-to-all accounting.
-	base := Params{N: 1024, P: 8, Mu: 5, Nu: 4, B: 32}
-	gotA, _, statsA := runSOIDistributed(t, base, 4, 99)
-	pw := base
-	pw.Exchange = ExchangePairwise
-	gotB, _, statsB := runSOIDistributed(t, pw, 4, 99)
-	if e := signal.MaxAbsErr(gotA, gotB); e != 0 {
-		t.Errorf("pairwise exchange result differs by %.3e", e)
-	}
-	if statsA.Alltoalls != 1 || statsB.Alltoalls != 1 {
-		t.Errorf("all-to-all counts: collective %d pairwise %d, want 1 and 1",
-			statsA.Alltoalls, statsB.Alltoalls)
-	}
-	if statsA.AlltoallBytes != statsB.AlltoallBytes {
-		t.Errorf("exchanged volumes differ: %d vs %d", statsA.AlltoallBytes, statsB.AlltoallBytes)
-	}
-}
-
 func TestHybridWorkersBitIdentical(t *testing.T) {
 	// Paper Fig 2: MPI ranks × OpenMP threads. Intra-rank workers must
 	// not change results (row partitioning only, no re-association).

@@ -7,12 +7,10 @@ import (
 )
 
 // This file streams the halo exchange — the other communication phase.
-// The blocking form posts the neighbour prefix(es) up front and then
-// stalls the first boundary tile on one monolithic RecvC per depth. The
-// streamed form chunks each prefix through the exch.HaloSizes schedule
-// over checked sends and assembles arriving chunks in a background
-// receiver, so by the time the producer's boundary tile asks, most (or
-// all) of the halo has already landed behind the interior tiles'
+// Each neighbour prefix is chunked through the exch.HaloSizes schedule
+// over checked sends, and a background receiver assembles arriving
+// chunks, so by the time the producer's first boundary rows ask, most
+// (or all) of the halo has already landed behind the interior rows'
 // convolution; the boundary wait is only the residual chunks in flight.
 //
 // The chunks ride the transports' ordinary (positive-tag) mailboxes on
@@ -36,12 +34,12 @@ func (hs *haloStream) wait() error {
 // startHaloStream posts this rank's prefix chunks to the preceding
 // rank(s) and starts the background receiver assembling the neighbour
 // prefix(es) into ext[nLocal:]. The receiver writes only past nLocal
-// and the interior tiles read only below it, so the two proceed
-// concurrently; boundary tiles synchronize through wait's channel.
+// and the interior rows read only below it, so the two proceed
+// concurrently; boundary rows synchronize through wait's channel.
 // A send error (dead neighbour link) is returned immediately — the
 // halo is not erasure-protected, so there is nothing to route around.
 func (e *distExec) startHaloStream(localIn, ext []complex128) (*haloStream, error) {
-	cc := e.c.(CheckedComm) // capability verified on the unwrapped Comm; the wrapper forwards
+	cc := e.c.(CheckedComm)
 	rank, r := e.rank, e.r
 	halo := e.pl.HaloLen()
 	for d := 1; (d-1)*e.nLocal < halo; d++ {
@@ -55,6 +53,7 @@ func (e *distExec) startHaloStream(localIn, ext []complex128) (*haloStream, erro
 			if err := cc.SendChecked(dst, exch.HaloTag(d, i), localIn[off:off+sz]); err != nil {
 				return nil, err
 			}
+			e.cnt.CountMessage(int64(sz) * 16)
 			e.tr.ChunkInstant(e.tid, rank, "halo_chunk_send", i)
 			off += sz
 		}

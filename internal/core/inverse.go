@@ -44,15 +44,6 @@ func (pl *Plan) RunDistributedInverse(ctx context.Context, c Comm, localOut, loc
 	return dt, nil
 }
 
-// RunDistributedInverseContext is the pre-option spelling of
-// RunDistributedInverse.
-//
-// Deprecated: call RunDistributedInverse, which now takes the context
-// and options directly.
-func (pl *Plan) RunDistributedInverseContext(ctx context.Context, c Comm, localOut, localIn []complex128) (DistributedTimes, error) {
-	return pl.RunDistributedInverse(ctx, c, localOut, localIn)
-}
-
 func conjInto(dst, src []complex128) {
 	for i, v := range src {
 		dst[i] = cmplx.Conj(v)

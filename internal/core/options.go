@@ -6,21 +6,23 @@ import (
 	"soifft/internal/telemetry"
 )
 
-// CheckedComm is the optional per-peer checked-messaging capability a
-// Comm may implement (discovered by type assertion, like io.ReaderFrom):
-// point-to-point operations that report a dead peer as an error to route
-// around rather than a rank-fatal panic. Both *mpi.Comm and *mpinet.Proc
-// implement it; WithCoding requires it.
+// CheckedComm is the per-peer checked-messaging capability
+// RunDistributed requires of its Comm (discovered by type assertion,
+// like io.ReaderFrom): point-to-point operations that report a dead peer
+// as an error to route around rather than a rank-fatal panic. The halo
+// streams over it, and the coding tail's parity and recovery rounds run
+// on it. Both *mpi.Comm and *mpinet.Proc implement it.
 type CheckedComm interface {
 	SendChecked(to, tag int, data any) error
 	RecvCChecked(from, tag int) ([]complex128, error)
 }
 
-// StreamComm is the optional streaming-collective capability a Comm may
-// implement: a chunked, windowed, asynchronous all-to-all whose chunks
-// the driver fans out while later tiles are still convolving. Both
-// *mpi.Comm and *mpinet.Proc implement it; WithAsyncWindow uses it (and
-// falls back to the blocking exchange when it is absent).
+// StreamComm is the streaming-collective capability RunDistributed
+// requires of its Comm: a chunked, windowed, asynchronous all-to-all
+// whose chunks the driver fans out while later tiles are still
+// convolving. Every distributed transform's exchange runs on it, the
+// default one-tile schedule included. Both *mpi.Comm and *mpinet.Proc
+// implement it.
 type StreamComm interface {
 	StartAlltoallv(o exch.Options) exch.Stream
 }
@@ -34,12 +36,8 @@ type distOptions struct {
 	parity   int
 	window   int
 	adaptive bool
-	// haloChecked is derived, not an option: the run drivers set it when
-	// the unwrapped Comm has the CheckedComm capability, enabling the
-	// chunk-streamed halo on the streamed path.
-	haloChecked bool
-	rec         *instrument.Recorder
-	tele        *telemetry.Plane
+	rec      *instrument.Recorder
+	tele     *telemetry.Plane
 }
 
 // resolveDistOptions folds the options over the plan's defaults.
@@ -53,22 +51,38 @@ func (pl *Plan) resolveDistOptions(opts []DistOption) distOptions {
 	return cfg
 }
 
-// WithCoding runs the exchange erasure-protected with m parity shares
-// per codeword, so the transform survives up to m rank deaths
-// mid-exchange (bit-exact, reported via *DegradedError). Requires a Comm
-// with the CheckedComm capability; m = 0 means detection without
-// repair. See the former RunDistributedCoded for the full protocol
-// contract.
+// WithCoding adds the erasure-coding tail to the exchange: each rank
+// encodes its R outgoing chunks (its own included) into m parity shares
+// over GF(2^8) and ships them behind its data tiles, so the transform
+// survives rank deaths mid-exchange. m = 0 means detection without
+// repair; m must lie in [0, R−1] (ValidateCoded). Outcomes:
+//   - no loss: identical to the uncoded run, bit for bit, at a wire cost
+//     of (R−1+m)/(R−1) times the plain exchange;
+//   - ranks die but every lost codeword retains ≥ R of its R+m shares
+//     (guaranteed for any single death with m ≥ 1 when the victim's
+//     sends flushed): every survivor finishes with the bit-exact
+//     spectrum and returns *DegradedError naming the reconstructed
+//     ranks; the coordinator additionally recomputes the dead ranks'
+//     output blocks (DegradedError.TakenOver, routed by GatherDegraded);
+//   - loss beyond the budget: every survivor returns a typed
+//     *UnrecoverableLossError naming the dead peers, within the
+//     transport's deadline bounds.
+//
+// The tail detects deaths with a two-round view/agreement exchange
+// after the data and parity fan-out; it therefore handles ranks that
+// crash up to that point. Deaths during the recovery itself surface as
+// typed transport errors (clean failure, never a wrong answer). Coding
+// composes with WithAsyncWindow and WithAdaptiveWindow.
 func WithCoding(m int) DistOption {
 	return func(o *distOptions) { o.coded = true; o.parity = m }
 }
 
-// WithAsyncWindow streams the exchange in chunks with at most w chunks
-// in flight (queued but unflushed) per destination link, overlapping
-// wire time with convolution on the send side and with segment assembly
-// on the receive side. w <= 0 selects the blocking exchange (the
-// default); so does a Comm without the StreamComm capability. Results
-// are bit-identical to the blocking exchange for every window.
+// WithAsyncWindow splits the exchange into several tiles with at most w
+// chunks in flight (queued but unflushed) per destination link,
+// overlapping wire time with convolution on the send side and with
+// chunk collection on the receive side. w <= 0 selects the default
+// one-tile schedule: every block convolves, then the single tile is
+// sent. Results are bit-identical for every window.
 func WithAsyncWindow(w int) DistOption {
 	return func(o *distOptions) {
 		if w < 0 {
@@ -84,11 +98,11 @@ func WithAsyncWindow(w int) DistOption {
 // adapt.DefaultWindow without one), and between transforms the
 // controller adapts from the measured overlap ratio, credit-stall share
 // and wire/compute ratio, with hysteresis so a noisy link doesn't
-// thrash the schedule. Requires the StreamComm capability (falls back
-// to the blocking exchange without it, like WithAsyncWindow); an
-// explicit WithAsyncWindow(w > 0) in the same run overrides the
-// controller. Composes with WithCoding. Results remain bit-identical to
-// the blocking exchange at every chosen window.
+// thrash the schedule. The overlap it reads counts only wire time after
+// the first chunk send, so compute that no wire runs beside is never
+// mistaken for hidden exchange. An explicit WithAsyncWindow(w > 0) in
+// the same run overrides the controller. Composes with WithCoding.
+// Results remain bit-identical at every chosen window.
 func WithAdaptiveWindow() DistOption {
 	return func(o *distOptions) { o.adaptive = true }
 }

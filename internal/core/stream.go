@@ -10,27 +10,28 @@ import (
 	"soifft/internal/instrument"
 )
 
-// This file is the streamed (async pipelined) variant of the distributed
-// driver: instead of convolving every block and then blocking in one
-// monolithic all-to-all, the producer fans phase-1/2 output out
-// tile-by-tile while later tiles are still convolving, and a consumer
-// goroutine scatters chunks into phase-4 layout as they land. Wire time
-// hides behind compute; DistributedTimes.Exchange reports only the
-// un-hidden remainder (send backpressure plus the post-compute drain
-// tail), and the overlapped span is booked via Recorder.AddHiddenExchange.
+// This file is the distributed driver's one exchange executor: the
+// producer fans phase-1/2 output out tile by tile while later tiles are
+// still convolving, and a consumer goroutine collects arriving chunks
+// into per-source buffers. Wire time hides behind compute;
+// DistributedTimes.Exchange reports only the un-hidden remainder (send
+// backpressure plus the post-compute tail), and the overlapped span is
+// booked via Recorder.AddHiddenExchange. Erasure coding is an optional
+// tail on the same executor (coded.go), not a second exchange.
 //
 // The chunk schedule is derived identically on every rank from the plan
 // and the world size alone: tile k covers convolution blocks
 // [bounds[k], bounds[k+1]), and the chunk for (src→dst, k) is lanes
 // [bounds[k]·spr, bounds[k+1]·spr) of dst's per-source chunk — a
-// contiguous span of the same packed buffer the blocking exchange sends,
-// so the streamed chunks partition the blocking payload exactly (same
-// bytes, same analytic 16·(1+β)·N·(R−1)/R budget) and the spectra are
-// bit-identical for every window.
+// contiguous span of the packed send buffer, so the chunks partition
+// the exchange payload exactly (the analytic 16·(1+β)·N·(R−1)/R budget)
+// and the spectra are bit-identical for every window.
 
-// tileBounds splits this rank's bpr convolution blocks into T tiles,
-// T = min(bpr, max(4, 2·window)): enough tiles to keep the window busy,
-// never more than one block each. bounds has T+1 entries.
+// tileBounds splits this rank's bpr convolution blocks into T tiles.
+// Without a window T = 1: the one-tile schedule convolves every block
+// and then sends, as a blocking all-to-all would. With a window w,
+// T = min(bpr, max(4, 2·w)): enough tiles to keep the window busy, never
+// more than one block each. bounds has T+1 entries.
 //
 // The schedule must come out identical on every rank — receivers size
 // the expected chunks from their own bounds. A fixed WithAsyncWindow(w)
@@ -44,6 +45,9 @@ func (e *distExec) tileBounds() []int {
 		if w = e.r; w < 2 {
 			w = 2
 		}
+	}
+	if w == 0 {
+		return []int{0, e.bpr}
 	}
 	T := 2 * w
 	if T < 4 {
@@ -59,126 +63,150 @@ func (e *distExec) tileBounds() []int {
 	return bounds
 }
 
-// runStreamed executes phases 1–4 with the chunked overlapped exchange.
-// The capability was checked by the caller on the unwrapped Comm;
-// e.c may be the counting wrapper, which forwards it.
-func (e *distExec) runStreamed(ctx context.Context, localOut, localIn []complex128) error {
+// inbox is the receive side of one streamed exchange, filled by the
+// consumer goroutine while later tiles are still on the wire.
+type inbox struct {
+	recv [][]complex128 // recv[src] = C_{src→rank}; nil until its first tile lands
+	lost []bool         // the source's stream failed before its last tile
+	loss error          // the first per-source stream failure, in arrival order
+	err  error          // the first malformed chunk (a schedule divergence)
+	done chan struct{}  // closed when the consumer returns
+}
+
+// wait blocks until the consumer has drained the stream and returns the
+// first malformed-chunk error. The fields are safe to read after it.
+func (in *inbox) wait() error {
+	<-in.done
+	return in.err
+}
+
+// exchange runs phases 1–3 over the chunk stream and returns every
+// source's chunk addressed to this rank (self included). With cx nil it
+// fails fast: on the first send error, or else the first per-source
+// stream failure. With cx set, the coding tail runs after the produce
+// loop — parity encode and send, the failpoint, the parity receive and
+// detect/recover — and a non-nil *DegradedError reports a
+// reconstruction.
+func (e *distExec) exchange(ctx context.Context, localIn []complex128, cx *codedExchange) (recv [][]complex128, deg *DegradedError, err error) {
+	rank, chunk := e.rank, e.chunk
 	bounds := e.tileBounds()
 	sizes := make([]int, len(bounds)-1)
 	for k := range sizes {
 		sizes[k] = (bounds[k+1] - bounds[k]) * e.spr
 	}
 	st := e.c.(StreamComm).StartAlltoallv(exch.Options{Sizes: sizes, Window: e.window})
-	defer st.Close()
-
-	e.tr.Counter(e.tid, e.rank, "adaptive_window", int64(e.window))
-	streamStart := time.Now()
-
-	// Phase-4 input in column-major (segment-major) layout: segment ss's
-	// oversampled sequence is the contiguous xcol[ss·mp, (ss+1)·mp), with
-	// source src's block j at offset src·bpr+j — exactly the xt vector the
-	// blocking phase4 gathers, assembled here by the consumer while later
-	// chunks are still on the wire.
-	xcol := make([]complex128, e.spr*e.pl.mp)
-	consErr := make(chan error, 1)
-	go func() { consErr <- e.consumeStream(st, bounds, xcol) }()
-
-	_, sendWait, perr := e.produceStream(ctx, st, bounds, localIn, nil)
-	if perr != nil {
-		// A producer that bailed mid-schedule left self-delivery slots the
-		// consumer would otherwise wait on forever; Close aborts the
-		// tracker so the drain below stays bounded.
-		st.Close()
+	if rank == 0 {
+		e.cnt.CountAlltoallOp() // once per world, like mpi.World's statistics
 	}
+	e.tr.Counter(e.tid, rank, "adaptive_window", int64(e.window))
 
-	// Drain: whatever the producer's outcome, wait for the consumer — its
-	// receive loops are deadline-bounded, and xcol must not be shared past
-	// this frame. The visible exchange time is the send backpressure plus
-	// this tail; everything else ran behind compute.
-	prodDone := time.Now()
-	e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
-	cerr := <-consErr
-	e.tr.End(e.tid, e.rank, instrument.StageExchange.String())
-	e.dt.Exchange = sendWait + time.Since(prodDone)
-	hidden := time.Since(streamStart) - e.dt.Exchange
-	if hidden < 0 {
-		hidden = 0
+	in := &inbox{recv: make([][]complex128, e.r), lost: make([]bool, e.r), done: make(chan struct{})}
+	go e.drainStream(st, bounds, in)
+	// Whatever the outcome, the consumer is drained before this frame
+	// returns: its receive loops are deadline-bounded, and Close aborts
+	// the slots a producer that bailed mid-schedule left unfilled.
+	defer func() {
+		st.Close()
+		<-in.done
+	}()
+
+	var onSendErr func(dst int, err error) error
+	if cx != nil {
+		onSendErr = func(dst int, err error) error {
+			cx.markDead(dst) // route around the dead peer; detection settles it
+			return nil
+		}
+	}
+	send, sendWait, firstSend, err := e.produceStream(ctx, st, bounds, localIn, onSendErr)
+
+	// The tail: everything after the produce loop is visible exchange
+	// time; everything between the first chunk send and here, other than
+	// send backpressure, ran behind compute.
+	tail := time.Now()
+	e.tr.Begin(e.tid, rank, instrument.StageExchange.String())
+	if err == nil {
+		in.recv[rank] = send[rank*chunk : (rank+1)*chunk]
+		if cx != nil {
+			deg, err = cx.run(send, in)
+		} else if err = in.wait(); err == nil {
+			err = in.loss
+		}
+	}
+	e.dt.Exchange = sendWait + time.Since(tail)
+	e.tr.End(e.tid, rank, instrument.StageExchange.String())
+	var hidden time.Duration
+	if !firstSend.IsZero() {
+		hidden = tail.Sub(firstSend) - sendWait
 	}
 	if e.timed && hidden > 0 {
 		e.rec.AddHiddenExchange(hidden)
 	}
-
-	if perr != nil {
-		return perr
+	if err != nil {
+		return nil, nil, err
 	}
-	if cerr != nil {
-		return cerr
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+	// Degraded-but-complete runs still carry a valid overlap measurement;
+	// only failed runs skip the controller.
 	if e.adaptive {
 		e.observeAdaptive(hidden, sendWait)
 	}
-
-	t0 := time.Now()
-	e.tr.Begin(e.tid, e.rank, instrument.StageSegmentFFT.String())
-	e.phase4Cols(xcol, localOut)
-	e.dt.SegmentFT = time.Since(t0)
-	e.tr.End(e.tid, e.rank, instrument.StageSegmentFFT.String())
-	return nil
+	return in.recv, deg, nil
 }
 
 // produceStream is the tile-wise phase 1–2: halo exchange, then per tile
 // convolve + block-FFT + pack + fan out, so destination links carry tile
-// k while tile k+1 is still convolving. The packed send buffer is
-// persistent and written once per region — in-flight chunks reference it
-// until their frames flush; it is returned because the coded exchange
-// encodes parity over it after the fan-out. sendWait is the cumulative
-// time Send spent blocked on window backpressure. A nil onSendErr fails
-// fast on the first send error; the coded path passes a callback that
-// marks the destination dead and continues.
-func (e *distExec) produceStream(ctx context.Context, st exch.Stream, bounds []int, localIn []complex128, onSendErr func(dst int, err error) error) (send []complex128, sendWait time.Duration, err error) {
+// k while tile k+1 is still convolving. Within a tile, the rows whose
+// taps stay inside the owned block convolve before the halo wait, so the
+// halo flight overlaps them on every schedule. The packed send buffer is
+// persistent and written once per region — in-flight chunks reference
+// it until their frames flush; it is returned because the self-chunk
+// and the coding tail's parity read it after the fan-out. sendWait is
+// the cumulative time Send spent blocked on window backpressure, and
+// firstSend when the first chunk went out (zero if none did). A nil
+// onSendErr fails fast on the first send error; the coded path passes a
+// callback that marks the destination dead and continues.
+func (e *distExec) produceStream(ctx context.Context, st exch.Stream, bounds []int, localIn []complex128, onSendErr func(dst int, err error) error) (send []complex128, sendWait time.Duration, firstSend time.Time, err error) {
 	pl, p, rank, r := e.pl, e.pl.prm, e.rank, e.r
 
-	// Phase 1: post the halo prefix(es) immediately (sends are
-	// asynchronous); the receive is deferred until the first tile whose
-	// rows read past the owned block.
+	// Phase 1: post the halo prefix(es) immediately; the receive is
+	// deferred until the first rows that read past the owned block.
 	halo := pl.HaloLen()
 	t0 := time.Now()
 	e.tr.Begin(e.tid, rank, instrument.StageHalo.String())
 	ext := make([]complex128, e.nLocal+halo)
 	copy(ext, localIn)
-	depth := 0
 	var hs *haloStream
 	if r > 1 {
-		if e.haloChecked {
-			var herr error
-			hs, herr = e.startHaloStream(localIn, ext)
-			if herr != nil {
-				e.dt.Halo += time.Since(t0)
-				e.tr.End(e.tid, rank, instrument.StageHalo.String())
-				return nil, 0, herr
-			}
-		} else {
-			for d := 1; (d-1)*e.nLocal < halo; d++ {
-				need := halo - (d-1)*e.nLocal
-				if need > e.nLocal {
-					need = e.nLocal
-				}
-				e.c.Send((rank-d+r*d)%r, tagHalo+d, localIn[:need])
-				depth = d
-			}
-		}
+		hs, err = e.startHaloStream(localIn, ext)
 	}
 	e.dt.Halo += time.Since(t0)
 	e.tr.End(e.tid, rank, instrument.StageHalo.String())
+	if err != nil {
+		return nil, 0, firstSend, err
+	}
+	haveHalo := false
+	waitHalo := func() error {
+		if haveHalo {
+			return nil
+		}
+		haveHalo = true
+		t0 := time.Now()
+		e.tr.Begin(e.tid, rank, instrument.StageHalo.String())
+		defer func() {
+			e.dt.Halo += time.Since(t0)
+			e.tr.End(e.tid, rank, instrument.StageHalo.String())
+		}()
+		if hs == nil {
+			copy(ext[e.nLocal:], localIn[:halo])
+			return nil
+		}
+		return hs.wait()
+	}
 
-	// jMid: first local row whose convolution taps leave the owned block.
+	// mid: first local row whose convolution taps leave the owned block.
 	jLo := rank * e.bpr
-	jMid := jLo
-	for jMid < jLo+e.bpr && pl.rowEndCol(jMid) <= (rank+1)*e.nLocal {
-		jMid++
+	mid := 0
+	for mid < e.bpr && pl.rowEndCol(jLo+mid) <= (rank+1)*e.nLocal {
+		mid++
 	}
 
 	maxTile := 0
@@ -190,50 +218,37 @@ func (e *distExec) produceStream(ctx context.Context, st exch.Stream, bounds []i
 	send = make([]complex128, e.bpr*p.P) // persistent: dst t's chunk at [t·chunk, (t+1)·chunk)
 	conv := make([]complex128, maxTile*p.P)
 	v := make([]complex128, maxTile*p.P)
-
-	haveHalo := false
-	for k := 0; k+1 < len(bounds); k++ {
-		lo, hi := bounds[k], bounds[k+1]
-
-		// The boundary rows need the neighbour prefix(es); interior tiles
-		// before this point overlapped with the halo flight.
-		if !haveHalo && jLo+hi > jMid {
-			t0 = time.Now()
-			e.tr.Begin(e.tid, rank, instrument.StageHalo.String())
-			switch {
-			case r == 1:
-				copy(ext[e.nLocal:], localIn[:halo])
-			case hs != nil:
-				if herr := hs.wait(); herr != nil {
-					e.dt.Halo += time.Since(t0)
-					e.tr.End(e.tid, rank, instrument.StageHalo.String())
-					return send, sendWait, herr
-				}
-			default:
-				for d := 1; d <= depth; d++ {
-					data := e.c.RecvC((rank+d)%r, tagHalo+d)
-					copy(ext[e.nLocal+(d-1)*e.nLocal:], data)
-				}
-			}
-			e.dt.Halo += time.Since(t0)
-			e.tr.End(e.tid, rank, instrument.StageHalo.String())
-			haveHalo = true
-		}
-
-		// Phase 2 for this tile: convolution rows, their P-point FFTs, and
-		// the node-local pack (lanes [t·spr, (t+1)·spr) of each block to
-		// destination t) — identical arithmetic to the blocking phase12,
-		// just row-range-restricted, so the results are bit-identical.
-		t0 = time.Now()
-		e.tr.Begin(e.tid, rank, instrument.StageConvolve.String())
-		parfor(e.workers, hi-lo, func(a, b int) {
+	// convolve runs phase 2 for rows [a, b) of the tile starting at lo:
+	// convolution rows and their P-point FFTs.
+	convolve := func(lo, a, b int) {
+		parfor(e.workers, b-a, func(i, j int) {
 			w0 := time.Now()
-			pl.ConvolveRange(conv[a*p.P:b*p.P], ext, jLo+lo+a, jLo+lo+b, rank*e.nLocal)
-			pl.BlockFFTBatch(v[a*p.P:b*p.P], conv[a*p.P:b*p.P], b-a)
+			x, y := (a-lo+i)*p.P, (a-lo+j)*p.P
+			pl.ConvolveRange(conv[x:y], ext, jLo+a+i, jLo+a+j, rank*e.nLocal)
+			pl.BlockFFTBatch(v[x:y], conv[x:y], j-i)
 			if e.timed {
 				e.convBusy.Add(int64(time.Since(w0)))
 			}
 		})
+	}
+
+	for k := 0; k+1 < len(bounds); k++ {
+		lo, hi := bounds[k], bounds[k+1]
+		t0 := time.Now()
+		e.tr.Begin(e.tid, rank, instrument.StageConvolve.String())
+		split := min(max(mid, lo), hi)
+		convolve(lo, lo, split)
+		if split < hi {
+			e.dt.Convolve += time.Since(t0)
+			if err := waitHalo(); err != nil {
+				e.tr.End(e.tid, rank, instrument.StageConvolve.String())
+				return send, sendWait, firstSend, err
+			}
+			t0 = time.Now()
+			convolve(lo, split, hi)
+		}
+		// The node-local pack: lanes [t·spr, (t+1)·spr) of each block go
+		// to destination t (paper Fig 3).
 		for t := 0; t < r; t++ {
 			base := t * e.chunk
 			for j := lo; j < hi; j++ {
@@ -242,6 +257,12 @@ func (e *distExec) produceStream(ctx context.Context, st exch.Stream, bounds []i
 		}
 		e.dt.Convolve += time.Since(t0)
 		e.tr.End(e.tid, rank, instrument.StageConvolve.String())
+		if k+2 == len(bounds) {
+			// The last fan-out needs only the packed buffer: release the
+			// work buffers first, so a transport that copies payloads on
+			// send does not stack its copies on top of them.
+			ext, conv, v = nil, nil, nil
+		}
 
 		// Fan tile k out, neighbours first, self last; Send blocks only on
 		// the in-flight window (wire pacing), which we book as visible
@@ -249,69 +270,88 @@ func (e *distExec) produceStream(ctx context.Context, st exch.Stream, bounds []i
 		for off := 0; off < r; off++ {
 			dst := (rank + 1 + off) % r
 			data := send[dst*e.chunk+lo*e.spr : dst*e.chunk+hi*e.spr]
+			if dst != rank {
+				// Summed over the schedule, the chunks partition the
+				// (R−1)·chunk elements this rank addresses to its peers:
+				// the analytic 16·(1+β)·N·(R−1)/R budget at any window.
+				e.cnt.CountAlltoallBytes(int64(len(data)) * 16)
+				e.cnt.CountStreamChunk()
+			}
 			w0 := time.Now()
+			if firstSend.IsZero() {
+				firstSend = w0
+			}
 			e.tr.ChunkBegin(e.tid, rank, "exchange_chunk_send", k)
 			serr := st.Send(dst, k, data)
 			e.tr.ChunkEnd(e.tid, rank, "exchange_chunk_send", k)
 			sendWait += time.Since(w0)
 			if serr != nil {
 				if onSendErr == nil {
-					return send, sendWait, serr
+					return send, sendWait, firstSend, serr
 				}
 				if err := onSendErr(dst, serr); err != nil {
-					return send, sendWait, err
+					return send, sendWait, firstSend, err
 				}
 			}
 		}
 		if err := ctx.Err(); err != nil {
-			return send, sendWait, err
+			return send, sendWait, firstSend, err
 		}
 	}
-	return send, sendWait, nil
+	return send, sendWait, firstSend, nil
 }
 
-// consumeStream scatters arriving chunks into the column-major phase-4
-// buffer — the receive side of the stride-P transpose, overlapped with
-// the wire. The first per-source failure is returned (after the stream
-// drains; the tracker retires a failed source's remaining slots).
-func (e *distExec) consumeStream(st exch.Stream, bounds []int, xcol []complex128) error {
-	mp := e.pl.mp
-	var firstErr error
+// drainStream collects arriving chunks into the per-source buffers — the
+// receive side of the stride-P exchange, overlapped with the wire. A
+// tile that spans the whole per-source chunk (the one-tile schedule) is
+// adopted as is: the transport hands each received payload over to the
+// receiver. Smaller tiles are copied into place. A per-source failure
+// marks the source lost and ends its stream (the tracker retires its
+// remaining slots); a malformed chunk is recorded as the inbox error. It
+// closes in.done on return.
+func (e *distExec) drainStream(st exch.Stream, bounds []int, in *inbox) {
+	defer close(in.done)
 	for {
-		c, ok := st.Next()
+		ch, ok := st.Next()
 		if !ok {
-			return firstErr
+			return
 		}
-		if c.Err != nil {
-			if firstErr == nil {
-				firstErr = c.Err
+		if ch.Err != nil {
+			in.lost[ch.Src] = true
+			if in.loss == nil {
+				in.loss = ch.Err
 			}
 			continue
 		}
-		lo, hi := bounds[c.Index], bounds[c.Index+1]
-		if len(c.Data) != (hi-lo)*e.spr {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: rank %d: stream chunk %d from %d has %d elements, want %d: %w",
-					e.rank, c.Index, c.Src, len(c.Data), (hi-lo)*e.spr, ErrLength)
+		lo, hi := bounds[ch.Index], bounds[ch.Index+1]
+		if len(ch.Data) != (hi-lo)*e.spr {
+			if in.err == nil {
+				in.err = fmt.Errorf("core: rank %d: malformed stream chunk %d from rank %d: %d elements, want %d: %w",
+					e.rank, ch.Index, ch.Src, len(ch.Data), (hi-lo)*e.spr, ErrLength)
 			}
 			continue
 		}
-		e.tr.ChunkInstant(e.tid, e.rank, "exchange_chunk_recv", c.Index)
-		for j := lo; j < hi; j++ {
-			row := c.Data[(j-lo)*e.spr : (j-lo+1)*e.spr]
-			for ss, val := range row {
-				xcol[ss*mp+c.Src*e.bpr+j] = val
-			}
+		if ch.Src == e.rank {
+			continue // the self-chunk aliases the packed send buffer
+		}
+		e.tr.ChunkInstant(e.tid, e.rank, "exchange_chunk_recv", ch.Index)
+		switch {
+		case hi-lo == e.bpr:
+			in.recv[ch.Src] = ch.Data
+		case in.recv[ch.Src] == nil:
+			in.recv[ch.Src] = make([]complex128, e.chunk)
+			fallthrough
+		default:
+			copy(in.recv[ch.Src][lo*e.spr:hi*e.spr], ch.Data)
 		}
 	}
 }
 
 // observeAdaptive feeds this run's measured overlap back to the plan's
 // window controller so the next transform starts at the adapted window.
-// Called only on successful streamed runs whose window the controller
-// chose (never for an explicit WithAsyncWindow); the decision is traced
-// with bounded-cardinality names so long campaigns don't grow the
-// tracer's interned-name table.
+// Called only on successful runs whose window the controller chose; the
+// decision is traced with bounded-cardinality names so long campaigns
+// don't grow the tracer's interned-name table.
 func (e *distExec) observeAdaptive(hidden, sendWait time.Duration) {
 	visible := e.dt.Exchange
 	m := adapt.Measurement{Window: e.window}
@@ -332,22 +372,4 @@ func (e *distExec) observeAdaptive(hidden, sendWait time.Duration) {
 	if d.Changed {
 		e.tr.ChunkInstant(e.tid, e.rank, "adaptive_decision", d.Window)
 	}
-}
-
-// phase4Cols is phase4 over the pre-scattered column-major buffer:
-// segment ss's input is already contiguous, so it feeds SegmentFFT with
-// no per-segment gather (the consumer did the transpose behind the wire).
-func (e *distExec) phase4Cols(xcol, out []complex128) {
-	pl := e.pl
-	parfor(e.workers, e.spr, func(sLo, sHi int) {
-		w0 := time.Now()
-		yt := make([]complex128, pl.mp)
-		for ss := sLo; ss < sHi; ss++ {
-			pl.SegmentFFT(yt, xcol[ss*pl.mp:(ss+1)*pl.mp])
-			pl.Demodulate(out[ss*pl.m:(ss+1)*pl.m], yt)
-		}
-		if e.timed {
-			e.segBusy.Add(int64(time.Since(w0)))
-		}
-	})
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"soifft/internal/instrument"
@@ -91,43 +93,171 @@ func TestAsyncStreamRecorderBudget(t *testing.T) {
 }
 
 // opaqueComm hides every optional capability of the wrapped Comm: the
-// promoted method set is exactly the Comm interface, so StreamComm and
-// CheckedComm assertions fail and the driver must fall back.
+// promoted method set is exactly the Comm interface.
 type opaqueComm struct{ Comm }
 
-// TestAsyncWindowFallbackWithoutCapability: a window on a transport
-// without the StreamComm capability silently selects the blocking
-// exchange — same bits, no streamed chunks.
+// checkedOnlyComm and streamOnlyComm expose exactly one capability.
+type checkedOnlyComm struct {
+	Comm
+	CheckedComm
+}
+
+type streamOnlyComm struct {
+	Comm
+	StreamComm
+}
+
+// checkMissingCapabilityFailsTyped runs RunDistributed with opts over
+// each capability-stripped wrapper of an in-process comm and asserts
+// that every rank gets ErrPlanMismatch naming the missing capability,
+// with no message sent. RunDistributed has one exchange driver, so a
+// Comm without CheckedComm or StreamComm has no fallback in any mode.
+func checkMissingCapabilityFailsTyped(t *testing.T, pl *Plan, mode string, opts ...DistOption) {
+	t.Helper()
+	const r = 4
+	src := signal.Random(streamParams.N, 302)
+	nLocal := streamParams.N / r
+	wraps := []struct {
+		name, missing string
+		wrap          func(c *mpi.Comm) Comm
+	}{
+		{"opaque", "CheckedComm", func(c *mpi.Comm) Comm { return opaqueComm{c} }},
+		{"stream-only", "CheckedComm", func(c *mpi.Comm) Comm { return streamOnlyComm{c, c} }},
+		{"checked-only", "StreamComm", func(c *mpi.Comm) Comm { return checkedOnlyComm{c, c} }},
+	}
+	for _, wc := range wraps {
+		w, err := mpi.NewWorld(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make([]error, r)
+		if err := w.Run(func(c *mpi.Comm) error {
+			rank := c.Rank()
+			out := make([]complex128, nLocal)
+			_, errs[rank] = pl.RunDistributed(context.Background(), wc.wrap(c), out,
+				src[rank*nLocal:(rank+1)*nLocal], opts...)
+			return nil
+		}); err != nil {
+			t.Fatalf("%s/%s: world: %v", wc.name, mode, err)
+		}
+		for rank, err := range errs {
+			if !errors.Is(err, ErrPlanMismatch) || !strings.Contains(err.Error(), wc.missing) {
+				t.Errorf("%s/%s rank %d: err %v, want ErrPlanMismatch naming %s",
+					wc.name, mode, rank, err, wc.missing)
+			}
+		}
+		if n := w.Stats().P2PMessages; n != 0 {
+			t.Errorf("%s/%s: %d messages sent before the capability check failed", wc.name, mode, n)
+		}
+	}
+}
+
+// TestAsyncWindowFallbackWithoutCapability: there is no blocking
+// fallback any more — with or without a window or coding, a transport
+// lacking StreamComm or CheckedComm is a typed plan mismatch naming the
+// missing capability, before any traffic.
 func TestAsyncWindowFallbackWithoutCapability(t *testing.T) {
-	const r, seed = 4, 302
-	ref, _, _ := runSOIDistributed(t, streamParams, r, seed)
 	pl, err := NewPlan(streamParams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := instrument.New(instrument.LevelCounters)
-	src := signal.Random(streamParams.N, seed)
-	got := make([]complex128, streamParams.N)
+	checkMissingCapabilityFailsTyped(t, pl, "default")
+	checkMissingCapabilityFailsTyped(t, pl, "window2", WithAsyncWindow(2))
+	checkMissingCapabilityFailsTyped(t, pl, "coded", WithCoding(1))
+}
+
+// TestAsyncHaloAccounting: the halo's chunks are counted at the sender
+// in every mode, so the recorder's message bytes equal the fabric's halo
+// traffic, 16·HaloLen·R per transform, whatever the window or coding.
+func TestAsyncHaloAccounting(t *testing.T) {
+	const r = 4
+	pl, err := NewPlan(streamParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(16 * pl.HaloLen() * r)
+	src := signal.Random(streamParams.N, 307)
+	nLocal := streamParams.N / r
+	for _, w := range []int{0, 1, 2, r} {
+		for _, m := range []int{-1, 0, 1} { // -1: uncoded
+			opts := []DistOption{WithAsyncWindow(w)}
+			if m >= 0 {
+				opts = append(opts, WithCoding(m))
+			}
+			rec := instrument.New(instrument.LevelCounters)
+			opts = append(opts, WithRecorder(rec))
+			world, err := mpi.NewWorld(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := world.Run(func(c *mpi.Comm) error {
+				rank := c.Rank()
+				_, err := pl.RunDistributed(context.Background(), c, make([]complex128, nLocal),
+					src[rank*nLocal:(rank+1)*nLocal], opts...)
+				return err
+			}); err != nil {
+				t.Fatalf("window %d coded %d: %v", w, m, err)
+			}
+			snap := rec.Snapshot().Comm
+			if snap.Bytes != want {
+				t.Errorf("window %d coded %d: recorder halo bytes %d, want 16·HaloLen·R = %d", w, m, snap.Bytes, want)
+			}
+			// The fabric's halo traffic is what remains of its payload after
+			// the exchange chunks, the parity, and — coded only — the clean
+			// run's two mask rounds of one 16 B frame per ordered pair.
+			s := world.Stats()
+			fabric := s.P2PBytes - s.AlltoallBytes - snap.ParityBytes
+			if m >= 0 {
+				fabric -= 2 * r * (r - 1) * 16
+			}
+			if snap.Bytes != fabric {
+				t.Errorf("window %d coded %d: recorder halo bytes %d, fabric carried %d", w, m, snap.Bytes, fabric)
+			}
+		}
+	}
+}
+
+// TestAsyncOneTileHidesNoConvolution: the hidden-exchange clock starts at
+// the first chunk send, so on the default one-tile schedule — convolve
+// everything, then send — the hidden time is only the fan-out between
+// sends and stays below the Convolve stage wall.
+func TestAsyncOneTileHidesNoConvolution(t *testing.T) {
+	const r = 2
+	p := Params{N: 1 << 14, P: 8, Mu: 5, Nu: 4, B: 72, Workers: 1}
+	pl, err := NewPlan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := instrument.New(instrument.LevelTimers)
+	src := signal.Random(p.N, 308)
+	nLocal := p.N / r
 	w, err := mpi.NewWorld(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nLocal := streamParams.N / r
-	err = w.Run(func(c *mpi.Comm) error {
-		_, err := pl.RunDistributed(context.Background(), opaqueComm{c},
-			got[c.Rank()*nLocal:(c.Rank()+1)*nLocal],
-			src[c.Rank()*nLocal:(c.Rank()+1)*nLocal],
-			WithAsyncWindow(2), WithRecorder(rec))
-		return err
-	})
-	if err != nil {
+	if err := w.Run(func(c *mpi.Comm) error {
+		rank := c.Rank()
+		for i := 0; i < 3; i++ {
+			if _, err := pl.RunDistributed(context.Background(), c, make([]complex128, nLocal),
+				src[rank*nLocal:(rank+1)*nLocal], WithRecorder(rec)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if e := signal.MaxAbsErr(got, ref); e != 0 {
-		t.Errorf("fallback result differs from blocking by %.3e", e)
+	snap := rec.Snapshot()
+	conv := snap.Stages[instrument.StageConvolve].Wall
+	if conv <= 0 {
+		t.Fatal("no convolution wall recorded")
 	}
-	if n := rec.Snapshot().Comm.StreamChunks; n != 0 {
-		t.Errorf("capability-less transport streamed %d chunks, want 0", n)
+	if hidden := snap.Comm.HiddenExchange; hidden >= conv {
+		t.Errorf("one-tile run booked %v hidden exchange, not below its %v convolution wall", hidden, conv)
+	}
+	if snap.Comm.StreamChunks != int64(3*r*(r-1)) {
+		t.Errorf("one-tile run streamed %d chunks, want one per remote destination per transform (%d)",
+			snap.Comm.StreamChunks, 3*r*(r-1))
 	}
 }
 
@@ -167,97 +297,5 @@ func TestAsyncCodedBitIdentity(t *testing.T) {
 				t.Errorf("m=%d window=%d: streamed coded differs by %.3e", m, win, e)
 			}
 		}
-	}
-}
-
-// TestDeprecatedWrappersDelegate: the pre-option entry points must keep
-// compiling and produce bit-identical results by delegating to
-// RunDistributed.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	const r, seed = 4, 304
-	ref, _, _ := runSOIDistributed(t, streamParams, r, seed)
-	pl, err := NewPlan(streamParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := signal.Random(streamParams.N, seed)
-	nLocal := streamParams.N / r
-
-	runWorld := func(name string, body func(c *mpi.Comm, out, in []complex128) error) []complex128 {
-		t.Helper()
-		got := make([]complex128, streamParams.N)
-		w, err := mpi.NewWorld(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = w.Run(func(c *mpi.Comm) error {
-			rank := c.Rank()
-			return body(c, got[rank*nLocal:(rank+1)*nLocal], src[rank*nLocal:(rank+1)*nLocal])
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return got
-	}
-
-	plain := runWorld("RunDistributedContext", func(c *mpi.Comm, out, in []complex128) error {
-		//lint:ignore SA1019 the wrapper's delegation contract is under test
-		_, err := pl.RunDistributedContext(context.Background(), c, out, in)
-		return err
-	})
-	if e := signal.MaxAbsErr(plain, ref); e != 0 {
-		t.Errorf("RunDistributedContext differs from RunDistributed by %.3e", e)
-	}
-
-	coded := runWorld("RunDistributedCoded", func(c *mpi.Comm, out, in []complex128) error {
-		//lint:ignore SA1019 the wrapper's delegation contract is under test
-		_, err := pl.RunDistributedCoded(c, 1, out, in)
-		return err
-	})
-	if e := signal.MaxAbsErr(coded, ref); e != 0 {
-		t.Errorf("RunDistributedCoded differs from RunDistributed by %.3e", e)
-	}
-
-	codedCtx := runWorld("RunDistributedCodedContext", func(c *mpi.Comm, out, in []complex128) error {
-		//lint:ignore SA1019 the wrapper's delegation contract is under test
-		_, err := pl.RunDistributedCodedContext(context.Background(), c, 1, out, in)
-		return err
-	})
-	if e := signal.MaxAbsErr(codedCtx, ref); e != 0 {
-		t.Errorf("RunDistributedCodedContext differs from RunDistributed by %.3e", e)
-	}
-
-	// Inverse: forward then deprecated inverse must round-trip to the
-	// same bits as the current inverse entry point.
-	invNew := runWorld("RunDistributedInverse", func(c *mpi.Comm, out, in []complex128) error {
-		rank := c.Rank()
-		_, err := pl.RunDistributedInverse(context.Background(), c, out, ref[rank*nLocal:(rank+1)*nLocal])
-		return err
-	})
-	invOld := runWorld("RunDistributedInverseContext", func(c *mpi.Comm, out, in []complex128) error {
-		rank := c.Rank()
-		//lint:ignore SA1019 the wrapper's delegation contract is under test
-		_, err := pl.RunDistributedInverseContext(context.Background(), c, out, ref[rank*nLocal:(rank+1)*nLocal])
-		return err
-	})
-	if e := signal.MaxAbsErr(invOld, invNew); e != 0 {
-		t.Errorf("RunDistributedInverseContext differs from RunDistributedInverse by %.3e", e)
-	}
-}
-
-// TestAsyncWindowPairwisePlanIgnored: a plan configured for the pairwise
-// exchange still honours the async window (the streamed schedule is
-// itself pairwise), staying bit-identical to both blocking variants.
-func TestAsyncWindowPairwiseBitIdentity(t *testing.T) {
-	const r, seed = 4, 305
-	pw := streamParams
-	pw.Exchange = ExchangePairwise
-	ref, _, _ := runSOIDistributed(t, pw, r, seed)
-	got, _, stats := runSOIDistributed(t, pw, r, seed, WithAsyncWindow(3))
-	if e := signal.MaxAbsErr(got, ref); e != 0 {
-		t.Errorf("streamed pairwise plan differs by %.3e", e)
-	}
-	if stats.Alltoalls != 1 {
-		t.Errorf("%d all-to-alls, want 1", stats.Alltoalls)
 	}
 }

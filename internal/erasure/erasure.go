@@ -1,6 +1,6 @@
 // Package erasure is a systematic Reed–Solomon k-of-n erasure codec
 // over GF(2^8), the redundancy layer of the coded all-to-all exchange
-// (internal/core RunDistributedCoded). A Code splits a payload into k
+// (internal/core WithCoding). A Code splits a payload into k
 // equal-length data shares and derives m parity shares; any k of the
 // k+m shares reconstruct every data share byte-for-byte.
 //

@@ -90,21 +90,9 @@ type Chunk struct {
 	Err   error
 }
 
-// Codec transforms chunk payloads on the wire — the seam for compressed
-// frames (the reference implementation's variable-length coding of the
-// oversampled exchange). Encode maps a payload to its wire form; Decode
-// inverts it given the expected decoded element count. A nil Codec means
-// identity. Self-deliveries never pass through the codec (they never
-// touch the wire). Implementations must round-trip bit-exactly for the
-// driver's bit-identity guarantees to hold.
-type Codec interface {
-	EncodeChunk(src []complex128) []complex128
-	DecodeChunk(wire []complex128, n int) ([]complex128, error)
-}
-
 // Options is the shared schedule of one streamed all-to-all. Every rank
-// must start its stream with identical Sizes (and compatible Codec);
-// Window is local pacing and may differ per rank.
+// must start its stream with identical Sizes; Window is local pacing and
+// may differ per rank.
 type Options struct {
 	// Sizes holds the element count of each chunk index; the same
 	// schedule applies to every (source, destination) pair.
@@ -114,8 +102,6 @@ type Options struct {
 	// synchronously (the in-process runtime) treat every send as
 	// immediately flushed, so the window never blocks there.
 	Window int
-	// Codec optionally transforms payloads on the wire; nil = identity.
-	Codec Codec
 }
 
 // Stream is a handle on one in-flight chunked all-to-all. One goroutine
@@ -238,19 +224,12 @@ func (s *stream) Send(dst, idx int, data []complex128) error {
 		s.trk.Deliver(Chunk{Src: dst, Index: idx, Data: data})
 		return nil
 	}
-	wire := data
-	if s.o.Codec != nil {
-		wire = s.o.Codec.EncodeChunk(data)
-	}
-	return s.c.SendChecked(dst, Tag(idx), wire)
+	return s.c.SendChecked(dst, Tag(idx), data)
 }
 
 func (s *stream) recvLoop(src int) {
 	for idx := range s.o.Sizes {
 		data, err := s.c.RecvCChecked(src, Tag(idx))
-		if err == nil && s.o.Codec != nil {
-			data, err = s.o.Codec.DecodeChunk(data, s.o.Sizes[idx])
-		}
 		if err != nil {
 			s.trk.Deliver(Chunk{Src: src, Err: err})
 			return

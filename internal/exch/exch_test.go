@@ -155,49 +155,6 @@ func TestStreamDeliversAllChunks(t *testing.T) {
 	}
 }
 
-// scaleCodec is a trivially reversible frame codec exercising the
-// pluggable-codec seam: wire form is the payload negated.
-type scaleCodec struct{}
-
-func (scaleCodec) EncodeChunk(src []complex128) []complex128 {
-	out := make([]complex128, len(src))
-	for i, v := range src {
-		out[i] = -v
-	}
-	return out
-}
-
-func (scaleCodec) DecodeChunk(wire []complex128, n int) ([]complex128, error) {
-	if len(wire) != n {
-		return nil, fmt.Errorf("codec: %d elements, want %d", len(wire), n)
-	}
-	out := make([]complex128, len(wire))
-	for i, v := range wire {
-		out[i] = -v
-	}
-	return out, nil
-}
-
-func TestStreamCodecRoundTrip(t *testing.T) {
-	const size = 3
-	o := Options{Sizes: []int{2, 2}, Window: 1, Codec: scaleCodec{}}
-	got := runWorld(t, newFakeWorld(size), o)
-	for rank := 0; rank < size; rank++ {
-		for src := 0; src < size; src++ {
-			for idx, n := range o.Sizes {
-				want := payload(src, rank, idx, n)
-				data := got[rank][[2]int{src, idx}]
-				for i := range want {
-					if data[i] != want[i] {
-						t.Fatalf("rank %d chunk (src=%d idx=%d)[%d] = %v, want %v (codec must be invisible)",
-							rank, src, idx, i, data[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestStreamDeadSourceYieldsOneTypedFailure(t *testing.T) {
 	w := newFakeWorld(3)
 	boom := errors.New("induced link death")

@@ -58,10 +58,6 @@ func (s *netStream) Send(dst, idx int, data []complex128) error {
 	if dst < 0 || dst >= p.size {
 		panic(fmt.Sprintf("mpinet: stream send to invalid rank %d", dst))
 	}
-	wire := data
-	if s.o.Codec != nil {
-		wire = s.o.Codec.EncodeChunk(data)
-	}
 	pe := p.peers[dst]
 	cr := s.credit[dst]
 	// Acquire a window slot: backpressure against the link's real flush
@@ -83,7 +79,7 @@ func (s *netStream) Send(dst, idx int, data []complex128) error {
 			return &TransportError{Rank: dst, Op: "stream-send", Err: pe.failure()}
 		}
 	}
-	if err := pe.sendFrame(encodeFrame(exch.Tag(idx), wire), func() { <-cr }); err != nil {
+	if err := pe.sendFrame(encodeFrame(exch.Tag(idx), data), func() { <-cr }); err != nil {
 		return &TransportError{Rank: dst, Op: "stream-send", Err: err}
 	}
 	return nil
@@ -98,12 +94,6 @@ func (s *netStream) recvLoop(src int) {
 	pe := s.p.peers[src]
 	for idx := range s.o.Sizes {
 		data, err := s.p.recvFromBox(pe, pe.sbox, src, exch.Tag(idx))
-		if err == nil && s.o.Codec != nil {
-			data, err = s.o.Codec.DecodeChunk(data, s.o.Sizes[idx])
-			if err != nil {
-				err = &TransportError{Rank: src, Op: "stream-recv", Err: err}
-			}
-		}
 		if err != nil {
 			s.trk.Deliver(exch.Chunk{Src: src, Err: err})
 			return

@@ -97,8 +97,9 @@ type CommReport struct {
 	Retransmits    int64
 	DeadlineEvents int64
 	ChecksumErrors int64
-	// StreamChunks counts chunks shipped by the streamed (windowed)
-	// all-to-all; zero when the blocking exchange ran.
+	// StreamChunks counts chunks shipped by the streamed all-to-all —
+	// one per remote destination per transform on the default one-tile
+	// schedule, more with a window.
 	StreamChunks int64
 	// HiddenExchange is exchange wire time that ran concurrently with
 	// convolution or segment assembly — time the async pipeline hid.
