@@ -395,25 +395,3 @@ func itoa(n int) string {
 func reportGFLOPS(b *testing.B, flopsPerOp float64) {
 	b.ReportMetric(flopsPerOp*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
-
-// BenchmarkConvolveJammed measures the Section 6 unroll-and-jam kernel
-// against the straightforward loop nest (BenchmarkConvolve).
-func BenchmarkConvolveJammed(b *testing.B) {
-	const n = 1 << 18
-	p := core.Params{N: n, P: 8, Mu: 5, Nu: 4, B: 72}
-	cp, err := core.NewPlan(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := signal.Random(n, 3)
-	ext := make([]complex128, n+cp.HaloLen())
-	copy(ext, src)
-	copy(ext[n:], src[:cp.HaloLen()])
-	out := make([]complex128, cp.NPrime())
-	b.SetBytes(int64(n) * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cp.ConvolveRangeJammed(out, ext, 0, cp.MPrime(), 0)
-	}
-	reportGFLOPS(b, float64(cp.ConvFlops()))
-}

@@ -390,40 +390,6 @@ func TestTransformSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestConvolveRangeJammedBitIdentical(t *testing.T) {
-	p := Params{N: 2048, P: 8, Mu: 5, Nu: 4, B: 40}
-	pl, err := NewPlan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := signal.Random(p.N, 51)
-	ext := make([]complex128, p.N+pl.HaloLen())
-	copy(ext, src)
-	copy(ext[p.N:], src[:pl.HaloLen()])
-	a := make([]complex128, pl.MPrime()*p.P)
-	b := make([]complex128, pl.MPrime()*p.P)
-	pl.convolveRangeRef(a, ext, 0, pl.MPrime(), 0)
-	pl.ConvolveRangeJammed(b, ext, 0, pl.MPrime(), 0)
-	if e := signal.MaxAbsErr(a, b); e != 0 {
-		t.Errorf("jammed kernel differs by %.3e", e)
-	}
-	// Aligned sub-range.
-	sub := make([]complex128, 10*p.Mu*p.P)
-	pl.ConvolveRangeJammed(sub, ext, 5*p.Mu, 15*p.Mu, 0)
-	if e := signal.MaxAbsErr(sub, a[5*p.Mu*p.P:15*p.Mu*p.P]); e != 0 {
-		t.Errorf("jammed sub-range differs by %.3e", e)
-	}
-	// Unaligned ranges fall back to the production kernel and agree with
-	// it bit for bit.
-	fast := make([]complex128, pl.MPrime()*p.P)
-	pl.ConvolveRange(fast, ext, 0, pl.MPrime(), 0)
-	sub2 := make([]complex128, 7*p.P)
-	pl.ConvolveRangeJammed(sub2, ext, 3, 10, 0)
-	if e := signal.MaxAbsErr(sub2, fast[3*p.P:10*p.P]); e != 0 {
-		t.Errorf("jammed fallback differs by %.3e", e)
-	}
-}
-
 // TestConvolveRangeMatchesReference pins the factorized real-tap kernel
 // (the production ConvolveRange) to the complex-tensor reference within
 // a few ulps: the two compute the same sums with different — equally
@@ -444,7 +410,7 @@ func TestConvolveRangeMatchesReference(t *testing.T) {
 		copy(ext[p.N:], src[:pl.HaloLen()])
 		ref := make([]complex128, pl.MPrime()*p.P)
 		got := make([]complex128, pl.MPrime()*p.P)
-		pl.convolveRangeRef(ref, ext, 0, pl.MPrime(), 0)
+		convolveRangeRef(pl, ref, ext, 0, pl.MPrime(), 0)
 		pl.ConvolveRange(got, ext, 0, pl.MPrime(), 0)
 		if e := signal.MaxAbsErr(got, ref); e > 1e-13 {
 			t.Errorf("P=%d B=%d: fast kernel differs from reference by %.3e", p.P, p.B, e)

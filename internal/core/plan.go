@@ -14,10 +14,11 @@ import (
 	"soifft/internal/window"
 )
 
-// Plan holds the precomputed tables of one SOI factorization: the weight
-// tensor of the convolution operator W (μ·B·P distinct complex numbers,
-// paper Fig 4), the inverse demodulation samples 1/ŵ(k), and the two FFT
-// sub-plans F_P and F_M'. Plans are immutable and safe for concurrent use.
+// Plan holds the precomputed tables of one SOI factorization: the
+// factorized weight tensor of the convolution operator W (μ·B·P distinct
+// complex numbers, paper Fig 4), the inverse demodulation samples
+// 1/ŵ(k), and the two FFT sub-plans F_P and F_M'. Plans are immutable
+// and safe for concurrent use.
 type Plan struct {
 	prm    Params
 	m      int // segment length M = N/P
@@ -25,16 +26,15 @@ type Plan struct {
 	np     int // oversampled total N' = M'·P
 	groups int // M'/μ row groups in the convolution
 
-	// wt is the weight tensor, indexed wt[(r*B+b)*P+i] for row phase
-	// r ∈ [0,μ), tap b ∈ [0,B), lane i ∈ [0,P).
-	wt []complex128
-	// The weight tensor factors exactly: wt[(r,b,i)] =
-	// hre[(r*B+b)*P+i] · phase[r*P+i], with hre real. The hot
-	// convolution kernel works on this split form — a real·complex MAC
-	// is half the flops and half the tap-table traffic of the
-	// complex·complex one, and all μ tap slabs (μ·B·P float64) fit in
-	// L1/L2 where the full complex tensor does not.
-	hre   []float64
+	// The weight tensor (μ·B·P complex numbers) factors exactly:
+	// W[(r,b,i)] = hre[(r*B+b)*P+i] · phase[r*P+i], with hre real. The
+	// convolution kernels work on this split form — a real·complex MAC
+	// is half the flops of the complex·complex one. h2 stores hre once,
+	// in lane-pair layout: h2[2k] = h2[2k+1] = hre[k], so one 32-byte
+	// load gives the AVX kernel the taps of two adjacent lanes, each
+	// repeated for (re, im), at the same byte offset as those lanes'
+	// input.
+	h2    []float64
 	phase []complex128
 	// dstart[r] = ⌊r·ν/μ⌋, the extra start-block offset of row phase r.
 	dstart []int
@@ -126,8 +126,8 @@ func NewPlan(p Params) (*Plan, error) {
 	return pl, nil
 }
 
-// buildWeights fills the μ·B·P weight tensor. For output row j = g·μ + r
-// and tap block b, lane i, the convolution weight is
+// buildWeights fills the factorized μ·B·P weight tensor. For output row
+// j = g·μ + r and tap block b, lane i, the convolution weight is
 //
 //	(1/M')·w(j/M' − (s_j+b)/M − i/N),  s_j = g·ν + dstart[r],
 //
@@ -143,8 +143,7 @@ func (pl *Plan) buildWeights() {
 	for r := 0; r < p.Mu; r++ {
 		pl.dstart[r] = r * p.Nu / p.Mu
 	}
-	pl.wt = make([]complex128, p.Mu*p.B*p.P)
-	pl.hre = make([]float64, p.Mu*p.B*p.P)
+	pl.h2 = make([]float64, 2*p.Mu*p.B*p.P)
 	pl.phase = make([]complex128, p.Mu*p.P)
 	scale := float64(p.Nu) / float64(p.Mu)
 	for r := 0; r < p.Mu; r++ {
@@ -161,10 +160,9 @@ func (pl *Plan) buildWeights() {
 			}
 			for i := 0; i < p.P; i++ {
 				alpha := rOff - float64(b) - float64(i)/float64(p.P)
-				h := pl.win.HTime(alpha)
-				phase := cmplx.Exp(complex(0, math.Pi*alpha))
-				pl.wt[(r*p.B+b)*p.P+i] = complex(scale*h, 0) * phase
-				pl.hre[(r*p.B+b)*p.P+i] = sign * h
+				k := 2 * ((r*p.B+b)*p.P + i)
+				pl.h2[k] = sign * pl.win.HTime(alpha)
+				pl.h2[k+1] = pl.h2[k]
 			}
 		}
 	}

@@ -228,74 +228,55 @@ func (pl *Plan) segPass(ws *workspace, dst []complex128, sLo, sHi int, timed boo
 // The kernel exploits the exact factorization of the weight tensor into
 // a real tap table and a per-(r, i) phase (see buildWeights): each lane
 // is a real·complex dot product over one contiguous B·P input slab —
-// half the arithmetic and half the table traffic of the complex MAC
-// form — followed by a single complex multiply by the lane phase.
+// half the arithmetic of the complex MAC form — followed by a single
+// complex multiply by the lane phase. Rows
+// run through convRow, which picks the AVX or the pure-Go kernel; both
+// give bit-identical output.
 func (pl *Plan) ConvolveRange(dst, src []complex128, jLo, jHi, colOff int) {
 	p := pl.prm
 	lanes, taps := p.P, p.B
 	for j := jLo; j < jHi; j++ {
 		g, r := j/p.Mu, j%p.Mu
 		start := (g*p.Nu+pl.dstart[r])*lanes - colOff
-		h := pl.hre[r*taps*lanes : (r*taps+taps)*lanes]
+		h2 := pl.h2[2*r*taps*lanes : 2*(r*taps+taps)*lanes]
 		xs := src[start : start+taps*lanes]
 		ph := pl.phase[r*lanes : (r+1)*lanes]
 		out := dst[(j-jLo)*lanes : (j-jLo+1)*lanes]
-		convDot(out, h, xs, ph, lanes)
+		convRow(out, h2, xs, ph, lanes)
 	}
 }
 
-// convDot computes out[i] = ph[i] · Σ_b h[b·lanes+i]·x[b·lanes+i] for
-// each lane. h and x are one row's contiguous tap slab (len B·lanes);
-// the per-lane walk is lanes-strided but the whole slab is L1-resident.
-// Two accumulator pairs per lane break the add dependency chain.
-func convDot(out []complex128, h []float64, x []complex128, ph []complex128, lanes int) {
-	n := len(h)
-	if len(x) < n {
-		n = len(x)
-	}
+// convDot computes out[i] = ph[i] · Σ_b h2[2(b·lanes+i)]·x[b·lanes+i]
+// for lanes i ∈ [lo, lanes). h2 and x are one row's contiguous tap slab
+// in lane-pair layout (h2 repeats each real tap twice, len 2·B·lanes;
+// x has len B·lanes); the per-lane walk is lanes-strided but the whole
+// slab is cache-resident. Two accumulator pairs per lane break the add
+// dependency chain. The explicit float64 conversions forbid the compiler
+// from fusing a multiply into the following add (Go spec, "Arithmetic
+// operators"): every product is rounded, as in convDotAVX, so the two
+// kernels stay bit-identical.
+func convDot(out []complex128, h2 []float64, x []complex128, ph []complex128, lanes, lo int) {
+	n := len(x)
 	step := 2 * lanes
-	for i := range out {
+	for i := lo; i < lanes; i++ {
 		var re0, im0, re1, im1 float64
 		k := i
 		for ; k+lanes < n; k += step {
-			h0, x0 := h[k], x[k]
-			re0 += h0 * real(x0)
-			im0 += h0 * imag(x0)
-			h1, x1 := h[k+lanes], x[k+lanes]
-			re1 += h1 * real(x1)
-			im1 += h1 * imag(x1)
+			h0, x0 := h2[2*k], x[k]
+			re0 += float64(h0 * real(x0))
+			im0 += float64(h0 * imag(x0))
+			h1, x1 := h2[2*(k+lanes)], x[k+lanes]
+			re1 += float64(h1 * real(x1))
+			im1 += float64(h1 * imag(x1))
 		}
 		if k < n {
-			h0, x0 := h[k], x[k]
-			re0 += h0 * real(x0)
-			im0 += h0 * imag(x0)
+			h0, x0 := h2[2*k], x[k]
+			re0 += float64(h0 * real(x0))
+			im0 += float64(h0 * imag(x0))
 		}
 		p := ph[i]
 		re, im := re0+re1, im0+im1
-		out[i] = complex(re*real(p)-im*imag(p), re*imag(p)+im*real(p))
-	}
-}
-
-// convolveRangeRef is the pre-factorization reference kernel operating
-// on the full complex weight tensor. It is retained as the ground truth
-// the fast path is tested against (TestConvolveRangeMatchesReference).
-func (pl *Plan) convolveRangeRef(dst, src []complex128, jLo, jHi, colOff int) {
-	p := pl.prm
-	for j := jLo; j < jHi; j++ {
-		g, r := j/p.Mu, j%p.Mu
-		start := (g*p.Nu+pl.dstart[r])*p.P - colOff
-		w := pl.wt[r*p.B*p.P : (r*p.B+p.B)*p.P]
-		out := dst[(j-jLo)*p.P : (j-jLo+1)*p.P]
-		for i := range out {
-			out[i] = 0
-		}
-		for b := 0; b < p.B; b++ {
-			xb := src[start+b*p.P : start+(b+1)*p.P]
-			wb := w[b*p.P : (b+1)*p.P]
-			for i, xv := range xb {
-				out[i] += wb[i] * xv
-			}
-		}
+		out[i] = complex(float64(re*real(p))-float64(im*imag(p)), float64(re*imag(p))+float64(im*real(p)))
 	}
 }
 

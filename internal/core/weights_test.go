@@ -38,6 +38,50 @@ func convolveByDefinition(pl *Plan, x []complex128, j int) []complex128 {
 	return out
 }
 
+// weightTensor rebuilds the unfactorized μ·B·P complex weight tensor,
+// indexed [(r*B+b)*P+i], straight from buildWeights' formula
+// (ν/μ)·exp(iπα)·H(α): the ground truth for the factorized tables.
+func weightTensor(pl *Plan) []complex128 {
+	p := pl.prm
+	wt := make([]complex128, p.Mu*p.B*p.P)
+	scale := float64(p.Nu) / float64(p.Mu)
+	for r := 0; r < p.Mu; r++ {
+		rOff := float64(r)*scale + float64(p.B)/2 - float64(pl.dstart[r])
+		for b := 0; b < p.B; b++ {
+			for i := 0; i < p.P; i++ {
+				alpha := rOff - float64(b) - float64(i)/float64(p.P)
+				wt[(r*p.B+b)*p.P+i] = complex(scale*pl.win.HTime(alpha), 0) *
+					cmplx.Exp(complex(0, math.Pi*alpha))
+			}
+		}
+	}
+	return wt
+}
+
+// convolveRangeRef is the pre-factorization reference kernel: the same
+// contract as ConvolveRange, computed with complex·complex MACs on the
+// full weight tensor.
+func convolveRangeRef(pl *Plan, dst, src []complex128, jLo, jHi, colOff int) {
+	p := pl.prm
+	wt := weightTensor(pl)
+	for j := jLo; j < jHi; j++ {
+		g, r := j/p.Mu, j%p.Mu
+		start := (g*p.Nu+pl.dstart[r])*p.P - colOff
+		w := wt[r*p.B*p.P : (r*p.B+p.B)*p.P]
+		out := dst[(j-jLo)*p.P : (j-jLo+1)*p.P]
+		for i := range out {
+			out[i] = 0
+		}
+		for b := 0; b < p.B; b++ {
+			xb := src[start+b*p.P : start+(b+1)*p.P]
+			wb := w[b*p.P : (b+1)*p.P]
+			for i, xv := range xb {
+				out[i] += wb[i] * xv
+			}
+		}
+	}
+}
+
 func TestConvolveRangeMatchesDefinition(t *testing.T) {
 	p := Params{N: 480, P: 4, Mu: 5, Nu: 4, B: 24, Win: window.TauSigma{Tau: 0.8, Sigma: 90}}
 	pl, err := NewPlan(p)

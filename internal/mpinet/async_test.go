@@ -59,9 +59,14 @@ func TestAsyncOverlapHidesWireTime(t *testing.T) {
 	// on a small CI box does not swamp the overlap signal; one link each
 	// way is the cleanest wire to throttle. Workers=1 and a deep filter
 	// make convolution the dominant local stage, which is what the
-	// overlap can hide wire time behind.
-	const n, ranks = 1 << 18, 2
-	pl, err := core.NewPlan(core.Params{N: n, P: 8, Mu: 5, Nu: 4, B: 512, Workers: 1})
+	// overlap can hide wire time behind. The vectorised convolution
+	// kernel is fast enough that B=512 at 2^18 points leaves it at only
+	// about two thirds of the clean wall, too little for the 20% bound;
+	// B=2048 at 2^20 points restores its dominance, also under -race
+	// (which slows every stage but the assembly kernel), while the
+	// (B−1)·P halo stays about 5% of each link's bytes.
+	const n, ranks = 1 << 20, 2
+	pl, err := core.NewPlan(core.Params{N: n, P: 8, Mu: 5, Nu: 4, B: 2048, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
